@@ -1,8 +1,8 @@
 /**
  * @file
  * Microbenchmarks (google-benchmark) of the simulator's hot
- * components: CGHC accesses, cache lookups, branch prediction, and
- * trace expansion throughput.  These bound the simulator's own
+ * components: CGHC accesses, cache lookups, branch prediction, trace
+ * expansion throughput, and the detailed core over a fixed trace.  These bound the simulator's own
  * speed, not the modeled machine's.
  */
 
@@ -11,7 +11,9 @@
 #include "branch/predictor.hh"
 #include "codegen/layout.hh"
 #include "codegen/registry.hh"
+#include "cpu/core.hh"
 #include "mem/cache.hh"
+#include "mem/hierarchy.hh"
 #include "prefetch/cghc.hh"
 #include "trace/expand.hh"
 #include "trace/recorder.hh"
@@ -80,31 +82,40 @@ BM_BranchPredict(benchmark::State &state)
 }
 BENCHMARK(BM_BranchPredict);
 
+/** A fixed two-function program, its trace and its O5 layout: the
+ *  shared input of the expansion and core benchmarks. */
+struct SmokeProgram
+{
+    cgp::FunctionRegistry reg;
+    cgp::TraceBuffer trace;
+    cgp::CodeImage image;
+
+    SmokeProgram()
+    {
+        using namespace cgp;
+        const FunctionId a = reg.declare("a", FunctionTraits::medium());
+        const FunctionId b = reg.declare("b", FunctionTraits::small());
+        TraceRecorder rec(trace);
+        rec.call(a);
+        for (int i = 0; i < 1000; ++i) {
+            rec.work(30);
+            rec.call(b);
+            rec.work(20);
+            rec.ret();
+            rec.branch(i % 3 == 0);
+        }
+        rec.ret();
+        image = LayoutBuilder(reg).buildOriginal();
+    }
+};
+
 void
 BM_TraceExpansion(benchmark::State &state)
 {
     using namespace cgp;
-    FunctionRegistry reg;
-    const FunctionId a = reg.declare("a", FunctionTraits::medium());
-    const FunctionId b = reg.declare("b", FunctionTraits::small());
-
-    TraceBuffer trace;
-    TraceRecorder rec(trace);
-    rec.call(a);
-    for (int i = 0; i < 1000; ++i) {
-        rec.work(30);
-        rec.call(b);
-        rec.work(20);
-        rec.ret();
-        rec.branch(i % 3 == 0);
-    }
-    rec.ret();
-
-    LayoutBuilder builder(reg);
-    const CodeImage image = builder.buildOriginal();
-
+    const SmokeProgram p;
     for (auto _ : state) {
-        InstructionExpander ex(reg, image, trace);
+        InstructionExpander ex(p.reg, p.image, p.trace);
         DynInst inst;
         std::uint64_t n = 0;
         while (ex.next(inst))
@@ -115,6 +126,28 @@ BM_TraceExpansion(benchmark::State &state)
     }
 }
 BENCHMARK(BM_TraceExpansion);
+
+/** The detailed core alone (Table 1 pipeline, no prefetcher) over
+ *  the same program: fetch, dispatch, issue, commit and the memory
+ *  hierarchy tick, from cold caches each iteration. */
+void
+BM_CoreDetailed(benchmark::State &state)
+{
+    using namespace cgp;
+    const SmokeProgram p;
+    std::uint64_t instrs = 0;
+    for (auto _ : state) {
+        InstructionExpander ex(p.reg, p.image, p.trace);
+        MemoryHierarchy mem;
+        Core core(ex, mem, nullptr, CoreConfig{});
+        core.run();
+        instrs += core.committedInstrs();
+        benchmark::DoNotOptimize(core.cycles());
+    }
+    state.counters["instrs"] = benchmark::Counter(
+        static_cast<double>(instrs), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_CoreDetailed)->Unit(benchmark::kMillisecond);
 
 void
 BM_BTreeInsert(benchmark::State &state)

@@ -24,6 +24,7 @@
 #include "codegen/function.hh"
 #include "codegen/profile.hh"
 #include "codegen/registry.hh"
+#include "util/logging.hh"
 #include "util/types.hh"
 
 namespace cgp
@@ -49,10 +50,23 @@ class CodeImage
     static constexpr Addr textBase = 0x0040'0000;
 
     /** Starting address of function @p fid. */
-    Addr funcStart(FunctionId fid) const;
+    Addr
+    funcStart(FunctionId fid) const
+    {
+        cgp_assert(fid < funcs_.size(), "bad function id ", fid);
+        return funcs_[fid].base;
+    }
 
     /** Address of block @p block of function @p fid. */
-    Addr blockAddr(FunctionId fid, std::uint16_t block) const;
+    Addr
+    blockAddr(FunctionId fid, std::uint16_t block) const
+    {
+        cgp_assert(fid < funcs_.size(), "bad function id ", fid);
+        const auto &fe = funcs_[fid];
+        cgp_assert(block < fe.blockAddrs.size(), "bad block index ",
+                   block);
+        return fe.blockAddrs[block];
+    }
 
     /** One past the highest text address. */
     Addr textLimit() const { return limit_; }

@@ -15,8 +15,10 @@ Core::Core(InstructionExpander &stream, MemoryHierarchy &mem,
            DataPrefetcher *dprefetcher)
     : stream_(stream), mem_(mem), prefetcher_(prefetcher),
       dprefetcher_(dprefetcher), config_(config),
-      branch_(config.branch), stats_("core")
+      branch_(config.branch), fetchQueue_(config.fetchQueueSize),
+      rob_(config.rsSize), stats_("core")
 {
+    waiting_.reserve(config.rsSize);
     stats_.addCounter("committed_instrs", &committed_,
                       "instructions committed");
     stats_.addCounter("fetch_icache_stall_cycles",
@@ -37,55 +39,59 @@ Core::Core(InstructionExpander &stream, MemoryHierarchy &mem,
     stats_.addChild(&branch_.stats());
 }
 
-bool
-Core::peek(DynInst &out)
+const DynInst *
+Core::peek()
 {
-    if (!pending_.has_value()) {
-        DynInst inst;
+    if (!hasPending_) {
         if (streamDone_)
-            return false;
-        if (!stream_.next(inst)) {
+            return nullptr;
+        if (!stream_.next(pending_)) {
             // A streaming source may be merely dry (another session
             // owns the next events); only a reported end is final.
             if (stream_.endOfStream())
                 streamDone_ = true;
-            return false;
+            return nullptr;
         }
-        pending_ = inst;
+        hasPending_ = true;
     }
-    out = *pending_;
-    return true;
+    return &pending_;
 }
 
 void
 Core::consume()
 {
-    cgp_assert(pending_.has_value(), "consume without peek");
-    pending_.reset();
+    cgp_assert(hasPending_, "consume without peek");
+    hasPending_ = false;
 }
 
-unsigned
-Core::destReg(const DynInst &inst)
+Core::MicroOp
+Core::decode(const DynInst &inst, std::uint64_t seq)
 {
+    MicroOp op;
+    op.pc = inst.pc;
+    op.memAddr = inst.memAddr;
+    op.seq = seq;
+    op.kind = inst.kind;
+
+    const std::uint64_t hs = (inst.pc >> 2) * 0xc2b2ae3d27d4eb4full;
+    op.src1 = static_cast<std::uint8_t>((hs >> 11) % numRegs);
+    op.src2 = static_cast<std::uint8_t>((hs >> 23) % numRegs);
+
     switch (inst.kind) {
       case InstKind::Store:
       case InstKind::Jump:
       case InstKind::CondBranch:
       case InstKind::Return:
-        return 0; // r0: always-ready sink
-      default:
+        op.dest = 0; // r0: always-ready sink
         break;
+      default: {
+        const std::uint64_t hd = (inst.pc >> 2) * 0x9e3779b97f4a7c15ull;
+        op.dest = static_cast<std::uint8_t>(
+            1 + (hd >> 7) % (numRegs - 1));
+        break;
+      }
     }
-    const std::uint64_t h = (inst.pc >> 2) * 0x9e3779b97f4a7c15ull;
-    return 1 + static_cast<unsigned>((h >> 7) % (numRegs - 1));
-}
-
-void
-Core::srcRegs(const DynInst &inst, unsigned &a, unsigned &b)
-{
-    const std::uint64_t h = (inst.pc >> 2) * 0xc2b2ae3d27d4eb4full;
-    a = static_cast<unsigned>((h >> 11) % numRegs);
-    b = static_cast<unsigned>((h >> 23) % numRegs);
+    return op;
 }
 
 void
@@ -93,11 +99,11 @@ Core::doCommit()
 {
     unsigned done = 0;
     while (done < config_.commitWidth && !rob_.empty()) {
-        RobEntry &head = rob_.front();
+        const MicroOp &head = rob_.front();
         if (!head.issued || head.doneCycle > now_)
             break;
-        if (head.inst.kind == InstKind::Load ||
-            head.inst.kind == InstKind::Store) {
+        if (head.kind == InstKind::Load ||
+            head.kind == InstKind::Store) {
             cgp_assert(lsqUsed_ > 0, "LSQ underflow");
             --lsqUsed_;
         }
@@ -107,100 +113,102 @@ Core::doCommit()
     }
 }
 
+bool
+Core::claimUnit(InstKind kind, UnitBudget &units)
+{
+    unsigned *unit = nullptr;
+    switch (kind) {
+      case InstKind::IntOp:
+      case InstKind::Jump:
+      case InstKind::CondBranch:
+      case InstKind::Call:
+      case InstKind::Return:
+        unit = &units.alus;
+        break;
+      case InstKind::MulOp:
+        unit = &units.muls;
+        break;
+      case InstKind::Load:
+      case InstKind::Store:
+        unit = &units.ports;
+        break;
+    }
+    if (*unit == 0)
+        return false;
+    --*unit;
+    return true;
+}
+
+Cycle
+Core::execute(const MicroOp &op)
+{
+    switch (op.kind) {
+      case InstKind::MulOp:
+        return now_ + config_.mulLatency;
+      case InstKind::Load:
+      case InstKind::Store: {
+        const bool is_store = op.kind == InstKind::Store;
+        const auto res = mem_.l1d().access(
+            op.memAddr, now_,
+            is_store ? AccessSource::DemandStore
+                     : AccessSource::DemandLoad,
+            is_store);
+        if (dprefetcher_ != nullptr) {
+            const bool miss = !res.hit && !res.delayedHit;
+            dprefetcher_->onAccess(op.pc, op.memAddr, is_store, miss,
+                                   now_);
+            if (miss)
+                dprefetcher_->onMiss(op.pc, op.memAddr, now_);
+        }
+        // A store retires via the store buffer.
+        return is_store ? now_ + 1 : res.readyCycle;
+      }
+      default:
+        return now_ + 1;
+    }
+}
+
 void
 Core::doIssue()
 {
     unsigned issued = 0;
-    unsigned alus = config_.intAlus;
-    unsigned muls = config_.multipliers;
-    unsigned ports = config_.memPorts;
+    UnitBudget units{config_.intAlus, config_.multipliers,
+                     config_.memPorts};
 
-    for (RobEntry &e : rob_) {
-        if (issued >= config_.issueWidth)
-            break;
-        if (e.issued)
+    // Walk the unissued slots oldest first, compacting the list in
+    // place: an op that is not ready or finds its unit taken keeps
+    // its position, exactly as the age-ordered scan would skip it.
+    const std::size_t n = waiting_.size();
+    std::size_t i = 0;
+    std::size_t kept = 0;
+    for (; i < n && issued < config_.issueWidth; ++i) {
+        const unsigned slot = waiting_[i];
+        MicroOp &op = rob_[slot];
+        if (std::max(regReady_[op.src1], regReady_[op.src2]) > now_ ||
+            !claimUnit(op.kind, units)) {
+            waiting_[kept++] = slot;
             continue;
-
-        unsigned s1, s2;
-        srcRegs(e.inst, s1, s2);
-        const Cycle operands = std::max(regReady_[s1], regReady_[s2]);
-        if (operands > now_)
-            continue;
-
-        Cycle done = 0;
-        switch (e.inst.kind) {
-          case InstKind::IntOp:
-          case InstKind::Jump:
-          case InstKind::CondBranch:
-          case InstKind::Call:
-          case InstKind::Return:
-            if (alus == 0)
-                continue;
-            --alus;
-            done = now_ + 1;
-            break;
-          case InstKind::MulOp:
-            if (muls == 0)
-                continue;
-            --muls;
-            done = now_ + config_.mulLatency;
-            break;
-          case InstKind::Load: {
-            if (ports == 0)
-                continue;
-            --ports;
-            const auto res = mem_.l1d().access(
-                e.inst.memAddr, now_, AccessSource::DemandLoad,
-                false);
-            done = res.readyCycle;
-            if (dprefetcher_ != nullptr) {
-                const bool miss = !res.hit && !res.delayedHit;
-                dprefetcher_->onAccess(e.inst.pc, e.inst.memAddr,
-                                       false, miss, now_);
-                if (miss) {
-                    dprefetcher_->onMiss(e.inst.pc, e.inst.memAddr,
-                                         now_);
-                }
-            }
-            break;
-          }
-          case InstKind::Store: {
-            if (ports == 0)
-                continue;
-            --ports;
-            const auto res = mem_.l1d().access(
-                e.inst.memAddr, now_, AccessSource::DemandStore,
-                true);
-            done = now_ + 1; // retires via the store buffer
-            if (dprefetcher_ != nullptr) {
-                const bool miss = !res.hit && !res.delayedHit;
-                dprefetcher_->onAccess(e.inst.pc, e.inst.memAddr,
-                                       true, miss, now_);
-                if (miss) {
-                    dprefetcher_->onMiss(e.inst.pc, e.inst.memAddr,
-                                         now_);
-                }
-            }
-            break;
-          }
         }
 
-        e.issued = true;
-        e.doneCycle = done;
+        const Cycle done = execute(op);
+        op.issued = true;
+        op.doneCycle = done;
         ++issued;
 
-        const unsigned d = destReg(e.inst);
-        if (d != 0)
-            regReady_[d] = std::max(regReady_[d], done);
+        if (op.dest != 0)
+            regReady_[op.dest] = std::max(regReady_[op.dest], done);
 
         // A blocking mispredict resolves when it executes; fetch
         // restarts after the redirect bubble.
-        if (blockedOnSeq_.has_value() && *blockedOnSeq_ == e.seq) {
-            blockedOnSeq_.reset();
+        if (blockedOnSeq_ == op.seq) {
+            blockedOnSeq_ = 0;
             fetchResumeCycle_ = std::max(fetchResumeCycle_,
                                          done + config_.redirectPenalty);
         }
     }
+    for (; i < n; ++i)
+        waiting_[kept++] = waiting_[i];
+    waiting_.resize(kept);
 }
 
 void
@@ -212,17 +220,14 @@ Core::doDispatch()
             ++robFullEvents_;
             break;
         }
-        FetchEntry &fe = fetchQueue_.front();
-        const bool is_mem = fe.inst.kind == InstKind::Load ||
-            fe.inst.kind == InstKind::Store;
+        const MicroOp &op = fetchQueue_.front();
+        const bool is_mem = op.kind == InstKind::Load ||
+            op.kind == InstKind::Store;
         if (is_mem && lsqUsed_ >= config_.lsqSize)
             break;
         if (is_mem)
             ++lsqUsed_;
-        RobEntry re;
-        re.inst = fe.inst;
-        re.seq = fe.seq;
-        rob_.push_back(re);
+        waiting_.push_back(rob_.push_back(op));
         fetchQueue_.pop_front();
         ++moved;
     }
@@ -279,7 +284,7 @@ Core::doFetch()
     // suspended fetch stage leaves every counter untouched.
     if (fetchSuspended_)
         return;
-    if (blockedOnSeq_.has_value()) {
+    if (blockedOnSeq_ != 0) {
         ++fetchBranchStallCycles_;
         return;
     }
@@ -296,9 +301,10 @@ Core::doFetch()
             return;
         }
 
-        DynInst inst;
-        if (!peek(inst))
+        const DynInst *next = peek();
+        if (next == nullptr)
             return;
+        const DynInst &inst = *next;
 
         // Per-line I-cache access on line change.
         const Addr line = mem_.l1i().lineAlign(inst.pc);
@@ -328,16 +334,12 @@ Core::doFetch()
                 inst.hintAddr, now_);
         }
 
-        FetchEntry fe;
-        fe.inst = inst;
-        fe.seq = ++seqGen_;
-
+        const std::uint64_t seq = ++seqGen_;
         bool end_group = false;
         if (isControl(inst.kind)) {
             const bool mispredicted = predictControl(inst);
             if (mispredicted) {
-                fe.blocksFetch = true;
-                blockedOnSeq_ = fe.seq;
+                blockedOnSeq_ = seq;
                 end_group = true;
             } else if (inst.taken) {
                 // Can't fetch past a predicted-taken transfer in the
@@ -346,7 +348,7 @@ Core::doFetch()
             }
         }
 
-        fetchQueue_.push_back(fe);
+        fetchQueue_.push_back(decode(inst, seq));
         ++fetched;
         if (end_group)
             return;
@@ -375,9 +377,10 @@ Core::fastForward(std::uint64_t max_instrs, bool warm_state)
     }
 
     std::uint64_t done = 0;
-    DynInst inst;
-    while (done < max_instrs && peek(inst)) {
+    const DynInst *next = nullptr;
+    while (done < max_instrs && (next = peek()) != nullptr) {
         consume();
+        const DynInst &inst = *next;
         if (warm_state) {
             const Addr line = mem_.l1i().lineAlign(inst.pc);
             if (!config_.perfectICache && line != lastFetchLine_) {
@@ -476,8 +479,7 @@ Core::stepCycle()
 
     if (committed_.value() == before && fetchQueue_.empty() &&
         rob_.empty()) {
-        DynInst probe;
-        if (!peek(probe) && pending_ == std::nullopt) {
+        if (peek() == nullptr) {
             if (streamDone_)
                 finished_ = true;
             else

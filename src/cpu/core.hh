@@ -25,8 +25,7 @@
 
 #include <chrono>
 #include <cstdint>
-#include <deque>
-#include <optional>
+#include <vector>
 
 #include "branch/predictor.hh"
 #include "dprefetch/dprefetcher.hh"
@@ -178,19 +177,77 @@ class Core
     const BranchUnit &branchUnit() const { return branch_; }
 
   private:
-    struct RobEntry
+    /** Unit tests stage exact window contents through this. */
+    friend struct CoreTestAccess;
+
+    /**
+     * What the back end keeps of a fetched instruction.  Everything
+     * else a DynInst carries (branch outcome, function identities,
+     * data hints) is consumed at fetch; the pseudo-register ids are
+     * hashed there once.
+     */
+    struct MicroOp
     {
-        DynInst inst;
-        bool issued = false;
-        Cycle doneCycle = 0;
+        Addr pc = invalidAddr;
+        Addr memAddr = invalidAddr;
         std::uint64_t seq = 0;
+        Cycle doneCycle = 0; ///< valid once issued
+        InstKind kind = InstKind::IntOp;
+        std::uint8_t src1 = 0;
+        std::uint8_t src2 = 0;
+        std::uint8_t dest = 0; ///< 0: r0, the always-ready sink
+        bool issued = false;
     };
 
-    struct FetchEntry
+    /**
+     * Fixed-capacity FIFO over a flat slot array.  push_back returns
+     * the slot index, which names the entry until it is popped.
+     */
+    class Ring
     {
-        DynInst inst;
-        std::uint64_t seq = 0;
-        bool blocksFetch = false; ///< mispredicted control transfer
+      public:
+        explicit Ring(unsigned capacity) : slots_(capacity) {}
+
+        bool empty() const { return count_ == 0; }
+        unsigned size() const { return count_; }
+        MicroOp &front() { return slots_[head_]; }
+        MicroOp &operator[](unsigned slot) { return slots_[slot]; }
+
+        unsigned
+        push_back(const MicroOp &op)
+        {
+            const unsigned slot = wrap(head_ + count_);
+            slots_[slot] = op;
+            ++count_;
+            return slot;
+        }
+
+        void
+        pop_front()
+        {
+            head_ = wrap(head_ + 1);
+            --count_;
+        }
+
+      private:
+        unsigned
+        wrap(unsigned i) const
+        {
+            const auto cap = static_cast<unsigned>(slots_.size());
+            return i >= cap ? i - cap : i;
+        }
+
+        std::vector<MicroOp> slots_;
+        unsigned head_ = 0;
+        unsigned count_ = 0;
+    };
+
+    /** Functional units left to claim in the current cycle. */
+    struct UnitBudget
+    {
+        unsigned alus;
+        unsigned muls;
+        unsigned ports;
     };
 
     void doCommit();
@@ -198,15 +255,26 @@ class Core
     void doDispatch();
     void doFetch();
 
+    /** Claim the unit @p kind executes on; false if none is left. */
+    static bool claimUnit(InstKind kind, UnitBudget &units);
+
+    /** Execute an issued op (D-cache access for memory ops);
+     *  returns its completion cycle. */
+    Cycle execute(const MicroOp &op);
+
     /** Predict + prefetcher hooks for a fetched control transfer. */
     bool predictControl(const DynInst &inst);
 
-    bool peek(DynInst &out);
+    /**
+     * The next stream instruction, held in place until consume();
+     * null when the stream is dry or has ended.  After consume() the
+     * pointee stays valid until the next peek().
+     */
+    const DynInst *peek();
     void consume();
 
-    /** Hashed pseudo-register ids for the dependence model. */
-    static unsigned destReg(const DynInst &inst);
-    static void srcRegs(const DynInst &inst, unsigned &a, unsigned &b);
+    /** Back-end view of @p inst with its hashed pseudo-registers. */
+    static MicroOp decode(const DynInst &inst, std::uint64_t seq);
 
     InstructionExpander &stream_;
     MemoryHierarchy &mem_;
@@ -218,11 +286,19 @@ class Core
     Cycle now_ = 0;
     std::uint64_t seqGen_ = 0;
 
-    std::deque<FetchEntry> fetchQueue_;
-    std::deque<RobEntry> rob_;
+    Ring fetchQueue_;
+    /** The reorder window: a ring of rsSize slots. */
+    Ring rob_;
+    /**
+     * ROB slots not yet issued, oldest first.  Issue walks this list
+     * instead of the whole window; it visits exactly the entries a
+     * full age-ordered scan would not skip as already issued.
+     */
+    std::vector<unsigned> waiting_;
     unsigned lsqUsed_ = 0;
 
-    std::optional<DynInst> pending_;
+    DynInst pending_;
+    bool hasPending_ = false;
     bool streamDone_ = false;
     bool finished_ = false;
     bool fetchSuspended_ = false;
@@ -232,8 +308,9 @@ class Core
 
     Addr lastFetchLine_ = invalidAddr;
     Cycle fetchResumeCycle_ = 0;
-    /** Sequence number of the unresolved blocking mispredict. */
-    std::optional<std::uint64_t> blockedOnSeq_;
+    /** Sequence number of the unresolved blocking mispredict
+     *  (0: none; sequence numbers start at 1). */
+    std::uint64_t blockedOnSeq_ = 0;
 
     static constexpr unsigned numRegs = 32;
     Cycle regReady_[numRegs] = {};

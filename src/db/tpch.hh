@@ -42,7 +42,9 @@ class Tpch
                      std::uint64_t seed = 0x7bc8);
 
     /**
-     * Run one TPC-H query (1, 2, 3, 5 or 6).
+     * Run one TPC-H query (1, 2, 3, 5 or 6).  @p scale is not read:
+     * the query parameters do not depend on it, and making them do
+     * so would change every recorded TPC-H trace.
      * @return result row count.
      */
     static std::uint64_t runQuery(DbSystem &db, int query,

@@ -16,7 +16,8 @@ InstructionExpander::InstructionExpander(const FunctionRegistry &registry,
       source_(ownedSource_.get()), config_(config)
 {
     cgp_assert(config_.instrScale > 0.0, "instrScale must be positive");
-    threads_[0].stackBase = stackSegmentBase;
+    cur_ = &threads_[0];
+    cur_->stackBase = stackSegmentBase;
 }
 
 InstructionExpander::InstructionExpander(const FunctionRegistry &registry,
@@ -27,7 +28,8 @@ InstructionExpander::InstructionExpander(const FunctionRegistry &registry,
       config_(config)
 {
     cgp_assert(config_.instrScale > 0.0, "instrScale must be positive");
-    threads_[0].stackBase = stackSegmentBase;
+    cur_ = &threads_[0];
+    cur_->stackBase = stackSegmentBase;
 }
 
 InstructionExpander::Activation *
@@ -244,6 +246,8 @@ InstructionExpander::processCall(FunctionId callee)
     // I-cache once warm), while revisits after other work has run
     // take a different path, as data-dependent control flow does in
     // real code.  Short bodies always fall through.
+    if (callee >= invocations_.size())
+        invocations_.resize(registry_.size(), 0);
     const std::uint32_t inv = invocations_[callee]++;
     // Mixed path volatility: some functions are argument-stable
     // (long phases), others flip paths often.
@@ -444,13 +448,16 @@ InstructionExpander::refill()
           case EventKind::Store:
             processMem(e.kind(), e.payload());
             break;
-          case EventKind::Switch:
+          case EventKind::Switch: {
             curThread_ = e.payload();
-            if (threads_.find(curThread_) == threads_.end()) {
-                threads_[curThread_].stackBase = stackSegmentBase
+            const auto [it, fresh] = threads_.try_emplace(curThread_);
+            cur_ = &it->second;
+            if (fresh) {
+                cur_->stackBase = stackSegmentBase
                     + curThread_ * stackSegmentStride;
             }
             break;
+          }
           case EventKind::Hint:
             // Hints cost no instruction slot: park the payload until
             // the next emitted instruction carries it to the core.
@@ -466,8 +473,11 @@ InstructionExpander::next(DynInst &out)
 {
     if (ready_.empty() && !refill())
         return false;
-    out = ready_.front();
-    ready_.pop_front();
+    out = ready_[readyHead_++];
+    if (readyHead_ == ready_.size()) {
+        ready_.clear();
+        readyHead_ = 0;
+    }
     if (!pendingHints_.empty()) {
         const std::uint64_t payload = pendingHints_.front();
         pendingHints_.pop_front();

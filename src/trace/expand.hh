@@ -190,7 +190,7 @@ class InstructionExpander
     /** Fill common fields from the current activation. */
     DynInst makeInst(const Activation &act, InstKind kind);
 
-    ThreadState &thread() { return threads_[curThread_]; }
+    ThreadState &thread() { return *cur_; }
     Activation *top();
 
     const FunctionRegistry &registry_;
@@ -203,10 +203,18 @@ class InstructionExpander
 
     bool ended_ = false;
     std::uint64_t curThread_ = 0;
-    /** Per-function invocation counters driving path dispatch. */
-    std::unordered_map<FunctionId, std::uint32_t> invocations_;
+    /** Per-function invocation counters driving path dispatch,
+     *  indexed by FunctionId. */
+    std::vector<std::uint32_t> invocations_;
     std::unordered_map<std::uint64_t, ThreadState> threads_;
-    std::deque<DynInst> ready_;
+    /** threads_[curThread_], re-pointed on Switch (references into
+     *  an unordered_map survive rehashing). */
+    ThreadState *cur_ = nullptr;
+    /** Instructions formed but not yet handed out, from readyHead_
+     *  on; cleared when the last one is taken, so empty() means
+     *  nothing is pending. */
+    std::vector<DynInst> ready_;
+    std::size_t readyHead_ = 0;
     /** Hint payloads awaiting an instruction to ride on. */
     std::deque<std::uint64_t> pendingHints_;
     std::uint64_t workLeft_ = 0;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 
 #include "codegen/function.hh"
@@ -14,6 +15,27 @@
 
 namespace cgp
 {
+
+/**
+ * gtest prints a parameter without its own printer as its raw bytes,
+ * and names each TraitsTest case after that text.  Print the bytes of
+ * a zero-padded copy instead, so the padding left uninitialized by
+ * every copy of @p traits cannot give the same case a different name
+ * on every run.
+ */
+static void
+PrintTo(const FunctionTraits &traits, std::ostream *os)
+{
+    FunctionTraits t;
+    std::memset(static_cast<void *>(&t), 0, sizeof t);
+    t.hotInstrs = traits.hotInstrs;
+    t.coldFraction = traits.coldFraction;
+    t.decisionSites = traits.decisionSites;
+    t.loops = traits.loops;
+    ::testing::internal::PrintBytesInObjectTo(
+        reinterpret_cast<const unsigned char *>(&t), sizeof t, os);
+}
+
 namespace
 {
 

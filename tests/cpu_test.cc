@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "codegen/layout.hh"
 #include "cpu/core.hh"
@@ -18,6 +19,72 @@
 
 namespace cgp
 {
+
+/** Stages ops straight into a core's window and steps its issue
+ *  stage alone, so issue order can be observed op by op. */
+struct CoreTestAccess
+{
+    static Core::MicroOp
+    decode(Addr pc)
+    {
+        DynInst inst;
+        inst.pc = pc;
+        return Core::decode(inst, 0);
+    }
+
+    /** Fetch and dispatch an integer op at @p pc; returns its slot. */
+    static unsigned
+    dispatchAluOp(Core &core, Addr pc)
+    {
+        DynInst inst;
+        inst.pc = pc;
+        inst.kind = InstKind::IntOp;
+        core.fetchQueue_.push_back(Core::decode(inst, ++core.seqGen_));
+        core.doDispatch();
+        return core.waiting_.back();
+    }
+
+    /** Whether the op at @p pc reads a register the op at @p other
+     *  writes (the staged scenarios need independent ops). */
+    static bool
+    dependsOn(Addr pc, Addr other)
+    {
+        const Core::MicroOp a = decode(pc);
+        const Core::MicroOp b = decode(other);
+        return b.dest != 0 && (a.src1 == b.dest || a.src2 == b.dest);
+    }
+
+    /** Hold the first source register of the op at @p pc until
+     *  @p cycle (0: ready now). */
+    static void
+    holdSource(Core &core, Addr pc, Cycle cycle)
+    {
+        core.regReady_[decode(pc).src1] = cycle;
+    }
+
+    /** Whether holding @p other's first source would also hold an
+     *  operand of the op at @p pc. */
+    static bool
+    sharesSource(Addr pc, Addr other)
+    {
+        const Core::MicroOp a = decode(pc);
+        const Core::MicroOp b = decode(other);
+        return a.src1 == b.src1 || a.src1 == b.src2;
+    }
+
+    static void issue(Core &core) { core.doIssue(); }
+    static bool
+    issued(Core &core, unsigned slot)
+    {
+        return core.rob_[slot].issued;
+    }
+    static std::vector<unsigned>
+    waiting(const Core &core)
+    {
+        return core.waiting_;
+    }
+};
+
 namespace
 {
 
@@ -48,9 +115,9 @@ struct Machine
         rec.ret();
     }
 
-    /** Run the trace through a fresh machine; owns the core. */
+    /** Assemble a fresh machine over the trace; owns the core. */
     Core &
-    run(CoreConfig cfg = {}, InstrPrefetcher *pf = nullptr)
+    build(CoreConfig cfg = {}, InstrPrefetcher *pf = nullptr)
     {
         LayoutBuilder builder(reg);
         image = builder.buildOriginal();
@@ -58,7 +125,14 @@ struct Machine
             std::make_unique<InstructionExpander>(reg, image, trace);
         mem = std::make_unique<MemoryHierarchy>();
         core = std::make_unique<Core>(*expander, *mem, pf, cfg);
-        core->run();
+        return *core;
+    }
+
+    /** Run the trace through a fresh machine. */
+    Core &
+    run(CoreConfig cfg = {}, InstrPrefetcher *pf = nullptr)
+    {
+        build(cfg, pf).run();
         return *core;
     }
 
@@ -201,6 +275,98 @@ TEST(Core, StatsGroupExposesCounters)
               core.committedInstrs());
     EXPECT_TRUE(core.stats().hasCounter("fetch_icache_stall_cycles"));
     EXPECT_GT(core.stats().formulaValue("ipc"), 0.0);
+}
+
+CoreConfig
+oneAlu()
+{
+    CoreConfig cfg;
+    cfg.intAlus = 1;
+    return cfg;
+}
+
+TEST(Core, OlderReadyAluOpIssuesFirst)
+{
+    constexpr Addr older = 0x400000, younger = 0x400004;
+    ASSERT_FALSE(CoreTestAccess::dependsOn(younger, older));
+
+    Machine m;
+    Core &core = m.build(oneAlu());
+    const unsigned a = CoreTestAccess::dispatchAluOp(core, older);
+    const unsigned b = CoreTestAccess::dispatchAluOp(core, younger);
+
+    // Both operands ready, one ALU: the older op takes it.
+    CoreTestAccess::issue(core);
+    EXPECT_TRUE(CoreTestAccess::issued(core, a));
+    EXPECT_FALSE(CoreTestAccess::issued(core, b));
+    EXPECT_EQ(CoreTestAccess::waiting(core), std::vector<unsigned>{b});
+
+    CoreTestAccess::issue(core);
+    EXPECT_TRUE(CoreTestAccess::issued(core, b));
+    EXPECT_TRUE(CoreTestAccess::waiting(core).empty());
+}
+
+TEST(Core, SkippedOpKeepsItsAgeInTheIssueOrder)
+{
+    constexpr Addr first = 0x400000, second = 0x400004,
+                   third = 0x400008;
+    ASSERT_FALSE(CoreTestAccess::sharesSource(second, first));
+    ASSERT_FALSE(CoreTestAccess::sharesSource(third, first));
+    ASSERT_FALSE(CoreTestAccess::dependsOn(first, second));
+    ASSERT_FALSE(CoreTestAccess::dependsOn(third, second));
+
+    Machine m;
+    Core &core = m.build(oneAlu());
+    const unsigned a = CoreTestAccess::dispatchAluOp(core, first);
+    const unsigned b = CoreTestAccess::dispatchAluOp(core, second);
+    const unsigned c = CoreTestAccess::dispatchAluOp(core, third);
+
+    // The oldest op waits on an operand: the next ready one issues,
+    // and the skipped op stays ahead of the one the ALU turned away.
+    CoreTestAccess::holdSource(core, first, 5);
+    CoreTestAccess::issue(core);
+    EXPECT_FALSE(CoreTestAccess::issued(core, a));
+    EXPECT_TRUE(CoreTestAccess::issued(core, b));
+    EXPECT_FALSE(CoreTestAccess::issued(core, c));
+    EXPECT_EQ(CoreTestAccess::waiting(core),
+              (std::vector<unsigned>{a, c}));
+
+    // Once its operand is ready the oldest op wins the ALU again.
+    CoreTestAccess::holdSource(core, first, 0);
+    CoreTestAccess::issue(core);
+    EXPECT_TRUE(CoreTestAccess::issued(core, a));
+    EXPECT_FALSE(CoreTestAccess::issued(core, c));
+}
+
+TEST(Core, IssueWidthStopKeepsTheRestInAgeOrder)
+{
+    constexpr Addr first = 0x400000, second = 0x400004,
+                   third = 0x400008;
+    ASSERT_FALSE(CoreTestAccess::sharesSource(second, first));
+    ASSERT_FALSE(CoreTestAccess::sharesSource(third, first));
+    ASSERT_FALSE(CoreTestAccess::dependsOn(first, second));
+    ASSERT_FALSE(CoreTestAccess::dependsOn(third, second));
+
+    CoreConfig cfg = oneAlu();
+    cfg.issueWidth = 1;
+    Machine m;
+    Core &core = m.build(cfg);
+    const unsigned a = CoreTestAccess::dispatchAluOp(core, first);
+    const unsigned b = CoreTestAccess::dispatchAluOp(core, second);
+    const unsigned c = CoreTestAccess::dispatchAluOp(core, third);
+
+    // The walk stops at the issue width before it reaches the
+    // youngest op, which must stay behind the skipped oldest one.
+    CoreTestAccess::holdSource(core, first, 5);
+    CoreTestAccess::issue(core);
+    EXPECT_TRUE(CoreTestAccess::issued(core, b));
+    EXPECT_EQ(CoreTestAccess::waiting(core),
+              (std::vector<unsigned>{a, c}));
+
+    CoreTestAccess::holdSource(core, first, 0);
+    CoreTestAccess::issue(core);
+    EXPECT_TRUE(CoreTestAccess::issued(core, a));
+    EXPECT_FALSE(CoreTestAccess::issued(core, c));
 }
 
 } // namespace

@@ -1,6 +1,6 @@
 /**
  * @file
- * Golden-result regression suite: three small deterministic
+ * Golden-result regression suite: five small deterministic
  * configurations run end-to-end through runSimulation and their
  * SimResult JSON is byte-compared against the checked-in goldens in
  * tests/golden/.  The simulator is single-threaded per job and
@@ -46,8 +46,26 @@ struct GoldenCase
     SimConfig config;
 };
 
+/** A deliberately cramped window: the reorder ring wraps every few
+ *  instructions, one ALU and one memory port make issue order
+ *  decide which op goes first, and a two-entry LSQ and three-entry
+ *  fetch queue backpressure dispatch and fetch. */
+SimConfig
+smallWindow()
+{
+    SimConfig c = SimConfig::withCgp(LayoutKind::PettisHansen, 4);
+    c.core.rsSize = 6;
+    c.core.fetchQueueSize = 3;
+    c.core.lsqSize = 2;
+    c.core.issueWidth = 2;
+    c.core.intAlus = 1;
+    c.core.memPorts = 1;
+    return c;
+}
+
 /** The locked-down matrix: baseline, I-side CGP, D-side combined,
- *  and the throttled I+D arbiter point. */
+ *  the throttled I+D arbiter point, and a small-window core on the
+ *  smallest workload whose trace switches threads. */
 std::vector<GoldenCase>
 goldenCases()
 {
@@ -62,6 +80,7 @@ goldenCases()
          SimConfig::withDPrefetch(DataPrefetchKind::Combined)},
         {"wiscprof_iplusd_arb.json", "wisc-prof",
          SimConfig::withIPlusD(DataPrefetchKind::Combined, true)},
+        {"wiscprof_cgp4_smallwindow.json", "wisc-prof", smallWindow()},
     };
 }
 

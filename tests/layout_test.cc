@@ -197,8 +197,9 @@ TEST(Layout, PettisHansenMakesHotWalkFallThrough)
         max_hot = std::max(max_hot, om.blockAddr(id, h));
     for (std::uint16_t b = 0;
          b < static_cast<std::uint16_t>(f.blocks.size()); ++b) {
-        if (f.blocks[b].role == BlockRole::Cold)
+        if (f.blocks[b].role == BlockRole::Cold) {
             EXPECT_GT(om.blockAddr(id, b), max_hot);
+        }
     }
 }
 

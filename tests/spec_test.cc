@@ -31,8 +31,9 @@ TEST(Cpu2000Suite, GccHasTheLargestHotSet)
             gcc_hot = s.hotFunctions;
     }
     for (const auto &s : suite) {
-        if (s.name != "gcc")
+        if (s.name != "gcc") {
             EXPECT_GT(gcc_hot, s.hotFunctions);
+        }
     }
 }
 
