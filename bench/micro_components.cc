@@ -2,7 +2,8 @@
  * @file
  * Microbenchmarks (google-benchmark) of the simulator's hot
  * components: CGHC accesses, cache lookups, branch prediction, trace
- * expansion throughput, and the detailed core over a fixed trace.  These bound the simulator's own
+ * expansion throughput, and the detailed core and its functional
+ * fast-forward over a fixed trace.  These bound the simulator's own
  * speed, not the modeled machine's.
  */
 
@@ -115,11 +116,13 @@ BM_TraceExpansion(benchmark::State &state)
     using namespace cgp;
     const SmokeProgram p;
     for (auto _ : state) {
+        // Drain by reference, the way the core consumes the stream.
         InstructionExpander ex(p.reg, p.image, p.trace);
-        DynInst inst;
         std::uint64_t n = 0;
-        while (ex.next(inst))
+        while (ex.peek() != nullptr) {
+            ex.pop();
             ++n;
+        }
         benchmark::DoNotOptimize(n);
         state.SetItemsProcessed(
             state.items_processed() + static_cast<std::int64_t>(n));
@@ -148,6 +151,27 @@ BM_CoreDetailed(benchmark::State &state)
         static_cast<double>(instrs), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_CoreDetailed)->Unit(benchmark::kMillisecond);
+
+/** Functional fast-forward (the sampled-simulation warming path) over
+ *  the same program: warm_state on, no prefetcher, cold caches each
+ *  iteration. */
+void
+BM_FastForward(benchmark::State &state)
+{
+    using namespace cgp;
+    const SmokeProgram p;
+    std::uint64_t instrs = 0;
+    for (auto _ : state) {
+        InstructionExpander ex(p.reg, p.image, p.trace);
+        MemoryHierarchy mem;
+        Core core(ex, mem, nullptr, CoreConfig{});
+        instrs += core.fastForward(~std::uint64_t{0}, true);
+        benchmark::DoNotOptimize(core.warmedInstrs());
+    }
+    state.counters["instrs"] = benchmark::Counter(
+        static_cast<double>(instrs), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_FastForward)->Unit(benchmark::kMicrosecond);
 
 void
 BM_BTreeInsert(benchmark::State &state)

@@ -39,31 +39,6 @@ Core::Core(InstructionExpander &stream, MemoryHierarchy &mem,
     stats_.addChild(&branch_.stats());
 }
 
-const DynInst *
-Core::peek()
-{
-    if (!hasPending_) {
-        if (streamDone_)
-            return nullptr;
-        if (!stream_.next(pending_)) {
-            // A streaming source may be merely dry (another session
-            // owns the next events); only a reported end is final.
-            if (stream_.endOfStream())
-                streamDone_ = true;
-            return nullptr;
-        }
-        hasPending_ = true;
-    }
-    return &pending_;
-}
-
-void
-Core::consume()
-{
-    cgp_assert(hasPending_, "consume without peek");
-    hasPending_ = false;
-}
-
 Core::MicroOp
 Core::decode(const DynInst &inst, std::uint64_t seq)
 {
@@ -323,7 +298,7 @@ Core::doFetch()
             }
         }
 
-        consume();
+        stream_.pop();
 
         // Semantic hints ride the instruction stream and are
         // dispatched at fetch — well before the consuming load
@@ -379,7 +354,7 @@ Core::fastForward(std::uint64_t max_instrs, bool warm_state)
     std::uint64_t done = 0;
     const DynInst *next = nullptr;
     while (done < max_instrs && (next = peek()) != nullptr) {
-        consume();
+        stream_.pop();
         const DynInst &inst = *next;
         if (warm_state) {
             const Addr line = mem_.l1i().lineAlign(inst.pc);

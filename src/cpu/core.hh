@@ -266,12 +266,22 @@ class Core
     bool predictControl(const DynInst &inst);
 
     /**
-     * The next stream instruction, held in place until consume();
-     * null when the stream is dry or has ended.  After consume() the
-     * pointee stays valid until the next peek().
+     * The next stream instruction, held in place in the expander
+     * until stream_.pop(); null when the stream is dry or has ended.
+     * After the pop the pointee stays valid until the next peek().
      */
-    const DynInst *peek();
-    void consume();
+    const DynInst *
+    peek()
+    {
+        if (streamDone_)
+            return nullptr;
+        const DynInst *next = stream_.peek();
+        // A streaming source may be merely dry (another session owns
+        // the next events); only a reported end is final.
+        if (next == nullptr && stream_.endOfStream())
+            streamDone_ = true;
+        return next;
+    }
 
     /** Back-end view of @p inst with its hashed pseudo-registers. */
     static MicroOp decode(const DynInst &inst, std::uint64_t seq);
@@ -297,8 +307,6 @@ class Core
     std::vector<unsigned> waiting_;
     unsigned lsqUsed_ = 0;
 
-    DynInst pending_;
-    bool hasPending_ = false;
     bool streamDone_ = false;
     bool finished_ = false;
     bool fetchSuspended_ = false;

@@ -88,9 +88,8 @@ profileOf(const FunctionRegistry &registry, const TraceBuffer &trace)
     InstructionExpander expander(registry, o5, trace);
     ExecutionProfile profile;
     expander.setProfile(&profile);
-    DynInst inst;
-    while (expander.next(inst)) {
-    }
+    while (expander.peek() != nullptr)
+        expander.pop();
     return profile;
 }
 

@@ -1,5 +1,6 @@
 #include "trace/expand.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/logging.hh"
@@ -15,9 +16,7 @@ InstructionExpander::InstructionExpander(const FunctionRegistry &registry,
       ownedSource_(std::make_unique<BufferTraceSource>(trace)),
       source_(ownedSource_.get()), config_(config)
 {
-    cgp_assert(config_.instrScale > 0.0, "instrScale must be positive");
-    cur_ = &threads_[0];
-    cur_->stackBase = stackSegmentBase;
+    init();
 }
 
 InstructionExpander::InstructionExpander(const FunctionRegistry &registry,
@@ -27,7 +26,16 @@ InstructionExpander::InstructionExpander(const FunctionRegistry &registry,
     : registry_(registry), image_(image), source_(&source),
       config_(config)
 {
+    init();
+}
+
+void
+InstructionExpander::init()
+{
     cgp_assert(config_.instrScale > 0.0, "instrScale must be positive");
+    cgp_assert(config_.stackLoadEvery > 0 &&
+                   config_.stackStoreEvery > 0 && config_.mulEvery > 0,
+               "stack load/store and multiply periods must be positive");
     cur_ = &threads_[0];
     cur_->stackBase = stackSegmentBase;
 }
@@ -39,13 +47,6 @@ InstructionExpander::top()
     return st.empty() ? nullptr : &st.back();
 }
 
-Addr
-InstructionExpander::curPc(const Activation &act) const
-{
-    return image_.blockAddr(act.fid, act.block)
-        + static_cast<Addr>(act.offset) * instrBytes;
-}
-
 DynInst
 InstructionExpander::makeInst(const Activation &act, InstKind kind)
 {
@@ -53,14 +54,25 @@ InstructionExpander::makeInst(const Activation &act, InstKind kind)
     inst.pc = curPc(act);
     inst.kind = kind;
     inst.func = act.fid;
-    inst.funcStart = image_.funcStart(act.fid);
+    inst.funcStart = act.funcStart;
     return inst;
+}
+
+void
+InstructionExpander::attachHint(DynInst &inst)
+{
+    const std::uint64_t payload = pendingHints_.front();
+    pendingHints_.pop_front();
+    inst.hintAddr = hintAddrOf(payload);
+    inst.hintKind = static_cast<std::uint8_t>(hintKindOf(payload));
 }
 
 void
 InstructionExpander::push(const DynInst &inst)
 {
     ready_.push_back(inst);
+    if (!pendingHints_.empty())
+        attachHint(ready_.back());
     ++emitted_;
     switch (inst.kind) {
       case InstKind::Call:
@@ -86,8 +98,7 @@ InstructionExpander::push(const DynInst &inst)
 std::uint32_t
 InstructionExpander::nextWalkIdx(const Activation &act) const
 {
-    const Function &f = registry_.function(act.fid);
-    const std::size_t walk_len = f.hotWalk.size();
+    const std::size_t walk_len = act.func->hotWalk.size();
     const std::uint32_t cc = act.crossCount + 1u;
     if (act.pendingDispatch != ~0u && cc >= dispatchAfterBlocks) {
         std::size_t idx = act.pendingDispatch % walk_len;
@@ -110,26 +121,19 @@ InstructionExpander::nextWalkIdx(const Activation &act) const
     return static_cast<std::uint32_t>((act.walkIdx + 1) % walk_len);
 }
 
-std::uint16_t
-InstructionExpander::nextWalkBlock(const Activation &act) const
-{
-    const Function &f = registry_.function(act.fid);
-    return f.hotWalk[nextWalkIdx(act)];
-}
-
 void
 InstructionExpander::setupBlock(Activation &act)
 {
-    const Function &f = registry_.function(act.fid);
-    const BasicBlock &b = f.blocks[act.block];
+    const BasicBlock &b = act.func->blocks[act.block];
     act.offset = 0;
+    act.blockBase = image_.blockAddr(act.fid, act.block);
 
     // Where does the walk go after this block, and is that block the
     // fall-through neighbour in this layout?
-    const std::uint16_t next = nextWalkBlock(act);
-    const Addr end = image_.blockAddr(act.fid, act.block)
-        + b.sizeBytes();
-    const bool adjacent = image_.blockAddr(act.fid, next) == end;
+    act.nextWalk = nextWalkIdx(act);
+    act.nextBase =
+        image_.blockAddr(act.fid, act.func->hotWalk[act.nextWalk]);
+    const bool adjacent = act.nextBase == act.blockBase + b.sizeBytes();
     act.needJump = !adjacent;
     act.usable = adjacent
         ? b.instrs
@@ -139,13 +143,12 @@ InstructionExpander::setupBlock(Activation &act)
 void
 InstructionExpander::advanceWalk(Activation &act)
 {
-    const Function &f = registry_.function(act.fid);
     const std::uint16_t from = act.block;
-    act.walkIdx = nextWalkIdx(act);
+    act.walkIdx = act.nextWalk;
     ++act.crossCount;
     if (act.crossCount >= dispatchAfterBlocks)
         act.pendingDispatch = ~0u;
-    act.block = f.hotWalk[act.walkIdx];
+    act.block = act.func->hotWalk[act.walkIdx];
     if (profile_ != nullptr)
         profile_->onBlockEdge(act.fid, from, act.block);
     setupBlock(act);
@@ -160,43 +163,77 @@ InstructionExpander::crossIfNeeded(Activation &act)
     if (act.needJump) {
         DynInst jmp = makeInst(act, InstKind::Jump);
         jmp.taken = true;
-        jmp.target = image_.blockAddr(act.fid, nextWalkBlock(act));
+        jmp.target = act.nextBase;
         push(jmp);
     }
     advanceWalk(act);
 }
 
 void
-InstructionExpander::emitWorkInstr()
+InstructionExpander::emitWorkRun()
 {
     Activation *act = top();
     cgp_assert(act != nullptr, "work outside any function");
     crossIfNeeded(*act);
 
-    auto &ts = thread();
-    ++ts.workCounter;
+    // Invariant: a run never extends past workLeft_, so the next
+    // trace event is still pulled only once the consumer asks for an
+    // instruction and none is buffered — the pull timing a streaming
+    // source (and the server scheduling behind it) observes is the
+    // one-instruction-at-a-time expansion's.  A block whose only slot
+    // is its cross jump still takes one work instruction (the cross
+    // then follows it), as the per-instruction expansion did.
+    const std::uint64_t room = act->usable > act->offset
+        ? act->usable - act->offset
+        : 1;
+    const auto n = static_cast<std::size_t>(std::min(workLeft_, room));
 
-    InstKind kind = InstKind::IntOp;
-    Addr mem = invalidAddr;
-    if (ts.workCounter % config_.stackLoadEvery == 0) {
-        kind = InstKind::Load;
-        mem = ts.stackBase
-            + (thread().stack.size() * 128)
-            + (ts.workCounter % 16) * 8;
-    } else if (ts.workCounter % config_.stackStoreEvery == 0) {
-        kind = InstKind::Store;
-        mem = ts.stackBase
-            + (thread().stack.size() * 128)
-            + (ts.workCounter % 8) * 8;
-    } else if (ts.workCounter % config_.mulEvery == 0) {
-        kind = InstKind::MulOp;
+    ThreadState &ts = thread();
+    const Addr frame = ts.stackBase + ts.stack.size() * 128;
+    const unsigned load_every = config_.stackLoadEvery;
+    const unsigned store_every = config_.stackStoreEvery;
+    const unsigned mul_every = config_.mulEvery;
+
+    const std::size_t first = ready_.size();
+    const DynInst proto = makeInst(*act, InstKind::IntOp);
+    Addr pc = proto.pc;
+    for (std::size_t i = 0; i < n; ++i, pc += instrBytes) {
+        DynInst &inst = ready_.emplace_back(proto);
+        inst.pc = pc;
+        const std::uint64_t count = ++ts.workCounter;
+        // Phase counters track count % period for each period.
+        const bool load = ++ts.loadPhase == load_every;
+        const bool store = ++ts.storePhase == store_every;
+        const bool mul = ++ts.mulPhase == mul_every;
+        if (load)
+            ts.loadPhase = 0;
+        if (store)
+            ts.storePhase = 0;
+        if (mul)
+            ts.mulPhase = 0;
+        if (load) {
+            inst.kind = InstKind::Load;
+            inst.memAddr = frame + (count % 16) * 8;
+            ++loads_;
+        } else if (store) {
+            inst.kind = InstKind::Store;
+            inst.memAddr = frame + (count % 8) * 8;
+            ++stores_;
+        } else if (mul) {
+            inst.kind = InstKind::MulOp;
+        }
     }
+    // Hints attach at emission rather than at hand-out.  The two
+    // agree because hint events are processed only while ready_ is
+    // empty: no hint can arrive between an instruction's emission and
+    // its hand-out.
+    for (std::size_t i = first; i < first + n && !pendingHints_.empty();
+         ++i)
+        attachHint(ready_[i]);
 
-    DynInst inst = makeInst(*act, kind);
-    inst.memAddr = mem;
-    push(inst);
-    ++act->offset;
-    --workLeft_;
+    emitted_ += n;
+    act->offset = static_cast<std::uint16_t>(act->offset + n);
+    workLeft_ -= n;
 }
 
 void
@@ -231,10 +268,12 @@ InstructionExpander::processCall(FunctionId callee)
         push(call);
     }
 
+    const Function &f = registry_.function(callee);
     Activation act;
+    act.func = &f;
+    act.funcStart = image_.funcStart(callee);
     act.fid = callee;
     act.walkIdx = 0;
-    const Function &f = registry_.function(callee);
     cgp_assert(!f.hotWalk.empty(), "function with empty walk");
     act.block = f.hotWalk[0];
     act.decisionRR = 0;
@@ -284,7 +323,7 @@ InstructionExpander::processReturn()
         const Activation &caller = ts.stack.back();
         ret.target = curPc(caller);
         ret.otherFunc = caller.fid;
-        ret.otherFuncStart = image_.funcStart(caller.fid);
+        ret.otherFuncStart = caller.funcStart;
     } else {
         ret.target = image_.textLimit() + 64 + curThread_ * 256
             + instrBytes;
@@ -302,7 +341,7 @@ InstructionExpander::processBranch(bool taken)
     Activation &act = *actp;
     crossIfNeeded(act);
 
-    const Function &f = registry_.function(act.fid);
+    const Function &f = *act.func;
 
     if (f.decisions.empty()) {
         // Function declared without decision sites: a plain biased
@@ -364,7 +403,7 @@ InstructionExpander::processBranch(bool taken)
         inst.pc = arm_base + static_cast<Addr>(i) * instrBytes;
         inst.kind = InstKind::IntOp;
         inst.func = act.fid;
-        inst.funcStart = image_.funcStart(act.fid);
+        inst.funcStart = act.funcStart;
         push(inst);
     }
     const Addr resume_addr = image_.blockAddr(act.fid, resume);
@@ -372,7 +411,7 @@ InstructionExpander::processBranch(bool taken)
     DynInst tail;
     tail.pc = arm_end - instrBytes;
     tail.func = act.fid;
-    tail.funcStart = image_.funcStart(act.fid);
+    tail.funcStart = act.funcStart;
     if (resume_addr == arm_end) {
         tail.kind = InstKind::IntOp;
     } else {
@@ -410,7 +449,7 @@ InstructionExpander::refill()
 {
     while (ready_.empty()) {
         if (workLeft_ > 0) {
-            emitWorkInstr();
+            emitWorkRun();
             continue;
         }
         if (ended_)
@@ -464,26 +503,6 @@ InstructionExpander::refill()
             pendingHints_.push_back(e.payload());
             break;
         }
-    }
-    return true;
-}
-
-bool
-InstructionExpander::next(DynInst &out)
-{
-    if (ready_.empty() && !refill())
-        return false;
-    out = ready_[readyHead_++];
-    if (readyHead_ == ready_.size()) {
-        ready_.clear();
-        readyHead_ = 0;
-    }
-    if (!pendingHints_.empty()) {
-        const std::uint64_t payload = pendingHints_.front();
-        pendingHints_.pop_front();
-        out.hintAddr = hintAddrOf(payload);
-        out.hintKind =
-            static_cast<std::uint8_t>(hintKindOf(payload));
     }
     return true;
 }

@@ -23,12 +23,14 @@
 
 #include <memory>
 
+#include "codegen/function.hh"
 #include "codegen/layout.hh"
 #include "codegen/profile.hh"
 #include "codegen/registry.hh"
 #include "trace/dyninst.hh"
 #include "trace/events.hh"
 #include "trace/source.hh"
+#include "util/logging.hh"
 #include "util/types.hh"
 
 namespace cgp
@@ -75,12 +77,45 @@ class InstructionExpander
     void setProfile(ExecutionProfile *profile) { profile_ = profile; }
 
     /**
-     * Produce the next dynamic instruction.
-     * @return false when the trace is exhausted — or, for a streaming
-     *         source, when it is merely dry; check endOfStream() to
-     *         tell the two apart.
+     * The next dynamic instruction, held in place until pop(); null
+     * when the trace is exhausted — or, for a streaming source, when
+     * it is merely dry (check endOfStream() to tell the two apart).
+     *
+     * Pointer lifetime: the pointee stays valid, and unchanged, after
+     * pop() until the next peek().  The consumed slots are reclaimed
+     * only when peek() finds the buffer drained and refills it.
      */
-    bool next(DynInst &out);
+    const DynInst *
+    peek()
+    {
+        if (readyHead_ == ready_.size()) {
+            ready_.clear();
+            readyHead_ = 0;
+            if (!refill())
+                return nullptr;
+        }
+        return &ready_[readyHead_];
+    }
+
+    /** Consume the instruction the last peek() returned. */
+    void
+    pop()
+    {
+        cgp_assert(readyHead_ < ready_.size(), "pop without peek");
+        ++readyHead_;
+    }
+
+    /** Copying form of peek() + pop(); same false conditions. */
+    bool
+    next(DynInst &out)
+    {
+        const DynInst *inst = peek();
+        if (inst == nullptr)
+            return false;
+        out = *inst;
+        pop();
+        return true;
+    }
 
     /** True once the underlying source reported End. */
     bool endOfStream() const { return ended_; }
@@ -97,14 +132,23 @@ class InstructionExpander
     std::uint64_t
     advance(std::uint64_t n)
     {
-        DynInst scratch;
         std::uint64_t done = 0;
-        while (done < n && next(scratch))
+        while (done < n && peek() != nullptr) {
+            pop();
             ++done;
+        }
         return done;
     }
 
-    /// @{ Expansion statistics (valid incrementally).
+    /**
+     * @name Expansion statistics
+     * Counted at emission, not at hand-out: mid-stream they may lead
+     * what the consumer has taken by at most one buffered run (one
+     * block's worth of instructions).  At end of stream they are
+     * exact.  Only a run cut short by CoreConfig::maxInstrs can
+     * observe the lead, and no production path sets it.
+     */
+    /// @{
     std::uint64_t emittedInstrs() const { return emitted_; }
     std::uint64_t emittedCalls() const { return calls_; }
     std::uint64_t emittedBranches() const { return branches_; }
@@ -127,6 +171,15 @@ class InstructionExpander
     /** One live function invocation on a thread's stack. */
     struct Activation
     {
+        /// @{ Per-function lookups, cached at call time.
+        const Function *func;
+        Addr funcStart;
+        /// @}
+        /// @{ Per-block lookups, cached by setupBlock().
+        Addr blockBase;          ///< address of the current block
+        Addr nextBase;           ///< address of the walk's next block
+        std::uint32_t nextWalk;  ///< nextWalkIdx() for this block
+        /// @}
         FunctionId fid;
         std::uint32_t walkIdx;   ///< position in hotWalk
         std::uint16_t block;     ///< current block index
@@ -153,10 +206,22 @@ class InstructionExpander
         std::vector<Activation> stack;
         Addr stackBase = 0;
         std::uint64_t workCounter = 0;
+        /// @{ workCounter modulo each ExpanderConfig period.
+        unsigned loadPhase = 0;
+        unsigned storePhase = 0;
+        unsigned mulPhase = 0;
+        /// @}
     };
 
-    /** Drain one more instruction from the current Work burst. */
-    void emitWorkInstr();
+    /** Checks shared by both constructors. */
+    void init();
+
+    /**
+     * Emit the current Work burst's instructions up to the block
+     * boundary: at least one, then while the block has usable slots
+     * and work is left.
+     */
+    void emitWorkRun();
 
     /** Process trace events until something is queued. */
     bool refill();
@@ -167,7 +232,11 @@ class InstructionExpander
     void processMem(EventKind kind, Addr addr);
 
     /** Address of the next instruction slot of @p act. */
-    Addr curPc(const Activation &act) const;
+    static Addr
+    curPc(const Activation &act)
+    {
+        return act.blockBase + static_cast<Addr>(act.offset) * instrBytes;
+    }
 
     /** Emit the cross jump / walk advance when a block is exhausted. */
     void crossIfNeeded(Activation &act);
@@ -175,20 +244,24 @@ class InstructionExpander
     /** The walk position entered after the current block. */
     std::uint32_t nextWalkIdx(const Activation &act) const;
 
-    /** The block the walk enters after the current one. */
-    std::uint16_t nextWalkBlock(const Activation &act) const;
-
     /** Advance the hot walk (recording the profile edge). */
     void advanceWalk(Activation &act);
 
-    /** Initialize block-position fields after entering a block. */
+    /**
+     * Initialize block-position fields after entering a block.  Every
+     * input of nextWalkIdx() changes only just before a call to this,
+     * so the walk's next position is computed here once per block.
+     */
     void setupBlock(Activation &act);
 
     /** Queue a fully-formed instruction. */
     void push(const DynInst &inst);
 
+    /** Move the oldest pending hint onto @p inst. */
+    void attachHint(DynInst &inst);
+
     /** Fill common fields from the current activation. */
-    DynInst makeInst(const Activation &act, InstKind kind);
+    static DynInst makeInst(const Activation &act, InstKind kind);
 
     ThreadState &thread() { return *cur_; }
     Activation *top();
@@ -210,9 +283,9 @@ class InstructionExpander
     /** threads_[curThread_], re-pointed on Switch (references into
      *  an unordered_map survive rehashing). */
     ThreadState *cur_ = nullptr;
-    /** Instructions formed but not yet handed out, from readyHead_
-     *  on; cleared when the last one is taken, so empty() means
-     *  nothing is pending. */
+    /** Instructions formed, from readyHead_ on not yet handed out.
+     *  Cleared by peek() once all are taken, so refill() always
+     *  starts from an empty buffer. */
     std::vector<DynInst> ready_;
     std::size_t readyHead_ = 0;
     /** Hint payloads awaiting an instruction to ride on. */

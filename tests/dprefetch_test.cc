@@ -420,24 +420,57 @@ TEST(HintTransport, HintsRideTheTraceAndAttachToInstructions)
     rec.hint(DataHintKind::HeapNextSlot, 0x5540);
     rec.hint(DataHintKind::HeapRecord, invalidAddr); // dropped
     rec.storeAt(0x1000'0040);
+    // Back-to-back hints pend together and ride consecutive
+    // instructions.
+    rec.hint(DataHintKind::HeapRecord, 0x7700);
+    rec.hint(DataHintKind::BtreeChild, 0x8800);
+    rec.work(6);
+    rec.hint(DataHintKind::HeapNextPage, 0x9900);
+    rec.hint(DataHintKind::HeapNextSlot, 0xAA00);
+    rec.hint(DataHintKind::HeapRecord, 0xBB00);
+    rec.work(30);
     rec.ret();
 
     LayoutBuilder builder(reg);
     const CodeImage image = builder.buildOriginal();
     InstructionExpander ex(reg, image, trace);
     std::vector<DynInst> hinted;
+    std::vector<std::size_t> at;
     DynInst inst;
-    while (ex.next(inst)) {
-        if (inst.hintAddr != invalidAddr)
+    for (std::size_t i = 0; ex.next(inst); ++i) {
+        if (inst.hintAddr != invalidAddr) {
             hinted.push_back(inst);
+            at.push_back(i);
+        }
     }
-    ASSERT_EQ(hinted.size(), 2u);
-    EXPECT_EQ(hinted[0].hintAddr, 0xABC0u);
-    EXPECT_EQ(static_cast<DataHintKind>(hinted[0].hintKind),
-              DataHintKind::BtreeChild);
-    EXPECT_EQ(hinted[1].hintAddr, 0x5540u);
-    EXPECT_EQ(static_cast<DataHintKind>(hinted[1].hintKind),
-              DataHintKind::HeapNextSlot);
+    // Each hint rides the instruction after it in the trace; pending
+    // hints ride consecutive instructions (a work instruction then
+    // the block's cross jump at 35/36, three work instructions of one
+    // run at 42-44).  The indices pin that placement in the stream.
+    ASSERT_EQ(hinted.size(), 7u);
+    EXPECT_EQ(at,
+              (std::vector<std::size_t>{22, 34, 35, 36, 42, 43, 44}));
+    const std::pair<Addr, DataHintKind> want[] = {
+        {0xABC0, DataHintKind::BtreeChild},
+        {0x5540, DataHintKind::HeapNextSlot},
+        {0x7700, DataHintKind::HeapRecord},
+        {0x8800, DataHintKind::BtreeChild},
+        {0x9900, DataHintKind::HeapNextPage},
+        {0xAA00, DataHintKind::HeapNextSlot},
+        {0xBB00, DataHintKind::HeapRecord},
+    };
+    for (std::size_t i = 0; i < hinted.size(); ++i) {
+        EXPECT_EQ(hinted[i].hintAddr, want[i].first) << i;
+        EXPECT_EQ(static_cast<DataHintKind>(hinted[i].hintKind),
+                  want[i].second)
+            << i;
+    }
+    const InstKind kinds[] = {InstKind::Load,  InstKind::Store,
+                              InstKind::IntOp, InstKind::Jump,
+                              InstKind::IntOp, InstKind::IntOp,
+                              InstKind::IntOp};
+    for (std::size_t i = 0; i < hinted.size(); ++i)
+        EXPECT_EQ(hinted[i].kind, kinds[i]) << i;
 }
 
 TEST(HintTransport, PayloadPacksKindAndAddress)

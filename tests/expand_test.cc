@@ -3,16 +3,20 @@
  * Tests for the instruction expander: structural invariants of the
  * emitted stream, layout independence of the dynamic behaviour, and
  * the control-flow bookkeeping CGP depends on (call/return pairing,
- * function identity, return targets).
+ * function identity, return targets), and the hand-off contract
+ * (peek/pop, next and advance agree; popped instructions stay put).
  */
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <tuple>
 #include <vector>
 
 #include "codegen/layout.hh"
 #include "trace/expand.hh"
 #include "trace/recorder.hh"
+#include "trace/source.hh"
 
 namespace cgp
 {
@@ -299,6 +303,230 @@ TEST(Expander, ContextSwitchesKeepPerThreadStacks)
     EXPECT_EQ(returns[0], b); // thread 1's B
     EXPECT_EQ(returns[1], b); // thread 0's B
     EXPECT_EQ(returns[2], a); // thread 0's A
+}
+
+TEST(Expander, ZeroPeriodsAreRejected)
+{
+    StreamFixture s;
+    const CodeImage image = LayoutBuilder(s.reg).buildOriginal();
+    BufferTraceSource source(s.trace);
+    detail::setThrowOnError(true);
+    for (unsigned ExpanderConfig::*period :
+         {&ExpanderConfig::stackLoadEvery, &ExpanderConfig::stackStoreEvery,
+          &ExpanderConfig::mulEvery}) {
+        ExpanderConfig cfg;
+        cfg.*period = 0;
+        EXPECT_THROW(InstructionExpander(s.reg, image, s.trace, cfg),
+                     std::logic_error);
+        EXPECT_THROW(InstructionExpander(s.reg, image, source, cfg),
+                     std::logic_error);
+    }
+    detail::setThrowOnError(false);
+}
+
+/**
+ * Two threads interleaved by Switch events.  Thread 0 is switched out
+ * two frames deep; work bursts span several blocks.  With
+ * @p control_flow the trace also carries branches, data accesses and
+ * hints; without, every IntOp/MulOp/Load/Store in the stream is a
+ * work instruction.
+ */
+TraceBuffer
+twoThreadTrace(FunctionId a, FunctionId b, bool control_flow)
+{
+    TraceBuffer trace;
+    auto ev = [&trace](EventKind k, std::uint64_t payload) {
+        trace.append(TraceEvent::make(k, payload));
+    };
+    for (std::uint64_t r = 0; r < 8; ++r) {
+        ev(EventKind::Switch, 0);
+        if (r == 0)
+            ev(EventKind::Call, a);
+        ev(EventKind::Work, 11 + 5 * r);
+        ev(EventKind::Call, b);
+        ev(EventKind::Work, 17 + 3 * r);
+        if (control_flow) {
+            ev(EventKind::Branch, r & 1);
+            trace.append(makeHintEvent(DataHintKind::HeapRecord,
+                                       0x2000 + r * 64));
+            trace.append(makeHintEvent(DataHintKind::BtreeChild,
+                                       0x3000 + r * 64));
+            ev(EventKind::Load, 0x1000'0000 + r * 64);
+            ev(EventKind::Work, 3);
+            ev(EventKind::Store, 0x1000'4000 + r * 32);
+        }
+        ev(EventKind::Switch, 1);
+        if (r == 0)
+            ev(EventKind::Call, a);
+        ev(EventKind::Work, 23 + r);
+        ev(EventKind::Call, b);
+        ev(EventKind::Work, 7);
+        ev(EventKind::Return, 0);
+        ev(EventKind::Switch, 0);
+        ev(EventKind::Work, 4 + r);
+        ev(EventKind::Return, 0);
+    }
+    ev(EventKind::Return, 0);
+    ev(EventKind::Switch, 1);
+    ev(EventKind::Return, 0);
+    return trace;
+}
+
+auto
+fieldsOf(const DynInst &i)
+{
+    return std::tie(i.pc, i.kind, i.taken, i.target, i.memAddr, i.func,
+                    i.funcStart, i.otherFunc, i.otherFuncStart,
+                    i.hintAddr, i.hintKind);
+}
+
+auto
+countersOf(const InstructionExpander &ex)
+{
+    return std::make_tuple(ex.emittedInstrs(), ex.emittedCalls(),
+                           ex.emittedBranches(), ex.emittedJumps(),
+                           ex.emittedLoads(), ex.emittedStores(),
+                           ex.instrsPerCall());
+}
+
+struct TwoThreadFixture
+{
+    FunctionRegistry reg;
+    FunctionId a = reg.declare("A", FunctionTraits::medium());
+    FunctionId b = reg.declare("B", FunctionTraits::small());
+};
+
+TEST(ExpanderHandOff, PeekPopNextAndAdvanceAgree)
+{
+    TwoThreadFixture s;
+    const TraceBuffer trace = twoThreadTrace(s.a, s.b, true);
+    const CodeImage image = LayoutBuilder(s.reg).buildOriginal();
+
+    InstructionExpander by_peek(s.reg, image, trace);
+    std::vector<DynInst> peeked;
+    while (const DynInst *inst = by_peek.peek()) {
+        peeked.push_back(*inst);
+        by_peek.pop();
+    }
+    EXPECT_TRUE(by_peek.endOfStream());
+
+    InstructionExpander by_next(s.reg, image, trace);
+    std::vector<DynInst> nexted;
+    DynInst inst;
+    while (by_next.next(inst))
+        nexted.push_back(inst);
+
+    ASSERT_EQ(peeked.size(), nexted.size());
+    ASSERT_GT(peeked.size(), 500u);
+    for (std::size_t i = 0; i < peeked.size(); ++i)
+        ASSERT_TRUE(fieldsOf(peeked[i]) == fieldsOf(nexted[i])) << i;
+    EXPECT_EQ(countersOf(by_peek), countersOf(by_next));
+    EXPECT_EQ(by_peek.emittedInstrs(), peeked.size());
+
+    for (const std::uint64_t k : {1u, 37u, 100u, 333u}) {
+        InstructionExpander skipped(s.reg, image, trace);
+        ASSERT_EQ(skipped.advance(k), k);
+        std::size_t i = k;
+        while (skipped.next(inst)) {
+            ASSERT_LT(i, peeked.size());
+            ASSERT_TRUE(fieldsOf(inst) == fieldsOf(peeked[i]))
+                << "advance(" << k << ") then next() at " << i;
+            ++i;
+        }
+        EXPECT_EQ(i, peeked.size());
+        EXPECT_EQ(countersOf(skipped), countersOf(by_peek));
+    }
+}
+
+TEST(ExpanderHandOff, PoppedInstructionStaysPutUntilNextPeek)
+{
+    TwoThreadFixture s;
+    const TraceBuffer trace = twoThreadTrace(s.a, s.b, true);
+    const CodeImage image = LayoutBuilder(s.reg).buildOriginal();
+    InstructionExpander ex(s.reg, image, trace);
+
+    std::size_t n = 0;
+    while (const DynInst *inst = ex.peek()) {
+        const DynInst copy = *inst;
+        ex.pop();
+        // Statistics reads do not disturb the buffer either.
+        (void)ex.emittedInstrs();
+        (void)ex.endOfStream();
+        ASSERT_TRUE(fieldsOf(*inst) == fieldsOf(copy)) << n;
+        ++n;
+    }
+    EXPECT_EQ(n, ex.emittedInstrs());
+}
+
+TEST(ExpanderHandOff, WorkKindsMatchPerThreadModuloReference)
+{
+    // Private to the expander: the synthetic stack segment layout.
+    constexpr Addr stack_base = 0x7f00'0000;
+    constexpr Addr stack_stride = 0x10'0000;
+
+    TwoThreadFixture s;
+    const TraceBuffer trace = twoThreadTrace(s.a, s.b, false);
+    const CodeImage image = LayoutBuilder(s.reg).buildOriginal();
+
+    const unsigned periods[][3] = {{3, 7, 2}, {1, 1, 1}};
+    for (const auto &p : periods) {
+        ExpanderConfig cfg;
+        cfg.stackLoadEvery = p[0];
+        cfg.stackStoreEvery = p[1];
+        cfg.mulEvery = p[2];
+
+        // Brute force: replay the trace's Work events with a
+        // per-thread work counter and call depth.
+        std::vector<std::pair<InstKind, Addr>> expected;
+        std::uint64_t count[2] = {0, 0};
+        Addr depth[2] = {0, 0};
+        std::uint64_t t = 0;
+        for (std::size_t e = 0; e < trace.size(); ++e) {
+            const TraceEvent ev = trace.at(e);
+            switch (ev.kind()) {
+              case EventKind::Switch:
+                t = ev.payload();
+                break;
+              case EventKind::Call:
+                ++depth[t];
+                break;
+              case EventKind::Return:
+                --depth[t];
+                break;
+              case EventKind::Work:
+                for (std::uint64_t w = 0; w < ev.payload(); ++w) {
+                    const std::uint64_t c = ++count[t];
+                    const Addr frame =
+                        stack_base + t * stack_stride + depth[t] * 128;
+                    if (c % p[0] == 0)
+                        expected.emplace_back(InstKind::Load,
+                                              frame + (c % 16) * 8);
+                    else if (c % p[1] == 0)
+                        expected.emplace_back(InstKind::Store,
+                                              frame + (c % 8) * 8);
+                    else if (c % p[2] == 0)
+                        expected.emplace_back(InstKind::MulOp,
+                                              invalidAddr);
+                    else
+                        expected.emplace_back(InstKind::IntOp,
+                                              invalidAddr);
+                }
+                break;
+              default:
+                FAIL() << "unexpected event kind";
+            }
+        }
+
+        InstructionExpander ex(s.reg, image, trace, cfg);
+        std::vector<std::pair<InstKind, Addr>> got;
+        while (const DynInst *inst = ex.peek()) {
+            if (!isControl(inst->kind))
+                got.emplace_back(inst->kind, inst->memAddr);
+            ex.pop();
+        }
+        EXPECT_EQ(got, expected)
+            << "periods " << p[0] << "/" << p[1] << "/" << p[2];
+    }
 }
 
 } // namespace
