@@ -271,10 +271,18 @@ BM_Interleave(benchmark::State &state)
     std::vector<const TraceBuffer *> ptrs;
     for (auto &t : threads)
         ptrs.push_back(&t);
-    InterleaveConfig cfg;
-    cfg.quantumInstrs = 20'000;
+    // A scheduler stub after every switch, as the workload factory
+    // merges.
+    TraceBuffer stub;
+    {
+        TraceRecorder rec(stub);
+        TraceScope s(rec, 2);
+        s.work(60);
+        s.branch(true);
+    }
     for (auto _ : state) {
-        const TraceBuffer merged = interleaveTraces(ptrs, cfg);
+        const TraceBuffer merged =
+            interleaveTraces(ptrs, 20'000, &stub);
         benchmark::DoNotOptimize(merged.size());
     }
 }

@@ -241,13 +241,19 @@ TwoLevelPredictor::saveState() const
 }
 
 void
-TwoLevelPredictor::loadState(const Json &state)
+TwoLevelPredictor::checkState(const Json &state) const
 {
     if (state.at("bits").asUint() != bits_)
         throw std::runtime_error("PHT geometry mismatch");
-    const Json &pht = state.at("pht");
-    if (pht.size() != pht_.size())
+    if (state.at("pht").size() != pht_.size())
         throw std::runtime_error("PHT size mismatch");
+}
+
+void
+TwoLevelPredictor::loadState(const Json &state)
+{
+    checkState(state);
+    const Json &pht = state.at("pht");
     history_ = state.at("history").asUint();
     for (std::size_t i = 0; i < pht_.size(); ++i)
         pht_[i] = static_cast<std::uint8_t>(pht[i].asUint());
@@ -275,20 +281,26 @@ Btb::saveState() const
 }
 
 void
-Btb::loadState(const Json &state)
+Btb::checkState(const Json &state) const
 {
     if (state.at("sets").asUint() != sets_ ||
         state.at("assoc").asUint() != assoc_) {
         throw std::runtime_error("BTB geometry mismatch");
     }
+    if (state.at("pc").size() != entries_.size() ||
+        state.at("target").size() != entries_.size() ||
+        state.at("lru").size() != entries_.size()) {
+        throw std::runtime_error("BTB size mismatch");
+    }
+}
+
+void
+Btb::loadState(const Json &state)
+{
+    checkState(state);
     const Json &pcs = state.at("pc");
     const Json &targets = state.at("target");
     const Json &lrus = state.at("lru");
-    if (pcs.size() != entries_.size() ||
-        targets.size() != entries_.size() ||
-        lrus.size() != entries_.size()) {
-        throw std::runtime_error("BTB size mismatch");
-    }
     tick_ = state.at("tick").asUint();
     for (std::size_t i = 0; i < entries_.size(); ++i) {
         entries_[i].pc = pcs[i].asUint();
@@ -315,17 +327,24 @@ ReturnAddressStack::saveState() const
 }
 
 void
-ReturnAddressStack::loadState(const Json &state)
+ReturnAddressStack::checkState(const Json &state) const
 {
     if (state.at("depth").asUint() != stack_.size())
         throw std::runtime_error("RAS depth mismatch");
-    const Json &entries = state.at("entries");
-    if (entries.size() != stack_.size() * 2)
+    if (state.at("entries").size() != stack_.size() * 2)
         throw std::runtime_error("RAS entry count mismatch");
+    if (state.at("top").asUint() >= stack_.size() ||
+        state.at("size").asUint() > stack_.size())
+        throw std::runtime_error("RAS pointers out of range");
+}
+
+void
+ReturnAddressStack::loadState(const Json &state)
+{
+    checkState(state);
+    const Json &entries = state.at("entries");
     top_ = static_cast<unsigned>(state.at("top").asUint());
     size_ = static_cast<unsigned>(state.at("size").asUint());
-    if (top_ >= stack_.size() || size_ > stack_.size())
-        throw std::runtime_error("RAS pointers out of range");
     for (std::size_t i = 0; i < stack_.size(); ++i) {
         stack_[i].returnAddr = entries[i * 2].asUint();
         stack_[i].callerFuncStart = entries[i * 2 + 1].asUint();
@@ -343,8 +362,17 @@ BranchUnit::saveState() const
 }
 
 void
+BranchUnit::checkState(const Json &state) const
+{
+    direction_.checkState(state.at("direction"));
+    btb_.checkState(state.at("btb"));
+    ras_.checkState(state.at("ras"));
+}
+
+void
 BranchUnit::loadState(const Json &state)
 {
+    checkState(state);
     direction_.loadState(state.at("direction"));
     btb_.loadState(state.at("btb"));
     ras_.loadState(state.at("ras"));

@@ -52,6 +52,7 @@ class TwoLevelPredictor
 
     /// @{ Warm-state checkpointing (history register + PHT).
     Json saveState() const;
+    void checkState(const Json &state) const;
     void loadState(const Json &state);
     /// @}
 
@@ -76,6 +77,7 @@ class Btb
 
     /// @{ Warm-state checkpointing (entry array + LRU tick).
     Json saveState() const;
+    void checkState(const Json &state) const;
     void loadState(const Json &state);
     /// @}
 
@@ -122,6 +124,7 @@ class ReturnAddressStack
 
     /// @{ Warm-state checkpointing (circular buffer + top + size).
     Json saveState() const;
+    void checkState(const Json &state) const;
     void loadState(const Json &state);
     /// @}
 
@@ -182,6 +185,7 @@ class BranchUnit
     /// are not serialized: checkpoints are cut from a pure warmup,
     /// during which every counter is frozen at zero).
     Json saveState() const;
+    void checkState(const Json &state) const;
     void loadState(const Json &state);
     /// @}
 

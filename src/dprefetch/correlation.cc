@@ -166,13 +166,19 @@ CorrelationDataPrefetcher::saveState() const
 }
 
 void
-CorrelationDataPrefetcher::loadState(const Json &state)
+CorrelationDataPrefetcher::checkState(const Json &state) const
 {
     if (state.at("entries").asUint() != table_.size())
         throw std::runtime_error("correlation table size mismatch");
-    const Json &entries = state.at("table");
-    if (entries.size() != table_.size())
+    if (state.at("table").size() != table_.size())
         throw std::runtime_error("correlation table field mismatch");
+}
+
+void
+CorrelationDataPrefetcher::loadState(const Json &state)
+{
+    checkState(state);
+    const Json &entries = state.at("table");
     tick_ = state.at("tick").asUint();
     lastMissLine_ = state.at("last_miss_line").asUint();
     for (std::size_t i = 0; i < table_.size(); ++i) {

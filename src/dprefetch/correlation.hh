@@ -65,6 +65,7 @@ class CorrelationDataPrefetcher : public DataPrefetcher
     /// @{ Warm-state checkpointing of the correlation (AMC) table
     /// and the last-miss trigger.
     Json saveState() const;
+    void checkState(const Json &state) const;
     void loadState(const Json &state);
     /// @}
 

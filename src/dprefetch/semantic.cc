@@ -68,15 +68,21 @@ SemanticDataPrefetcher::saveState() const
 }
 
 void
-SemanticDataPrefetcher::loadState(const Json &state)
+SemanticDataPrefetcher::checkState(const Json &state) const
 {
     if (state.at("entries").asUint() != recent_.size())
         throw std::runtime_error(
             "semantic checkpoint dedup-filter size mismatch");
-    const Json &lines = state.at("recent");
-    if (lines.size() != recent_.size())
+    if (state.at("recent").size() != recent_.size())
         throw std::runtime_error(
             "semantic checkpoint recent-array size mismatch");
+}
+
+void
+SemanticDataPrefetcher::loadState(const Json &state)
+{
+    checkState(state);
+    const Json &lines = state.at("recent");
     for (std::size_t i = 0; i < recent_.size(); ++i)
         recent_[i] = lines[i].asUint();
 }

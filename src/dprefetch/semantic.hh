@@ -59,6 +59,7 @@ class SemanticDataPrefetcher : public DataPrefetcher
     /// filter is predictive state; the introspection counters are
     /// not serialized.
     Json saveState() const;
+    void checkState(const Json &state) const;
     void loadState(const Json &state);
     /// @}
 

@@ -121,19 +121,26 @@ StrideDataPrefetcher::saveState() const
 }
 
 void
-StrideDataPrefetcher::loadState(const Json &state)
+StrideDataPrefetcher::checkState(const Json &state) const
 {
     if (state.at("entries").asUint() != table_.size())
         throw std::runtime_error("stride table size mismatch");
+    if (state.at("pc").size() != table_.size() ||
+        state.at("last_addr").size() != table_.size() ||
+        state.at("stride").size() != table_.size() ||
+        state.at("confidence").size() != table_.size()) {
+        throw std::runtime_error("stride table field mismatch");
+    }
+}
+
+void
+StrideDataPrefetcher::loadState(const Json &state)
+{
+    checkState(state);
     const Json &pcs = state.at("pc");
     const Json &lasts = state.at("last_addr");
     const Json &strides = state.at("stride");
     const Json &confs = state.at("confidence");
-    if (pcs.size() != table_.size() || lasts.size() != table_.size() ||
-        strides.size() != table_.size() ||
-        confs.size() != table_.size()) {
-        throw std::runtime_error("stride table field mismatch");
-    }
     for (std::size_t i = 0; i < table_.size(); ++i) {
         table_[i].pc = pcs[i].asUint();
         table_[i].lastAddr = lasts[i].asUint();

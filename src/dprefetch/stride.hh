@@ -58,6 +58,7 @@ class StrideDataPrefetcher : public DataPrefetcher
 
     /// @{ Warm-state checkpointing of the per-PC table.
     Json saveState() const;
+    void checkState(const Json &state) const;
     void loadState(const Json &state);
     /// @}
 

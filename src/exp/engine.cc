@@ -156,10 +156,11 @@ runCampaign(const CampaignSpec &spec, WorkloadProvider &provider,
         if (options.watchdogWallSeconds > 0.0)
             cfg.core.maxWallSeconds = options.watchdogWallSeconds;
 
-        // Sampled jobs with a run directory share its sealed
-        // checkpoint store, so repeated invocations over the same
-        // workload prefix skip functional warming.
-        if (cfg.sample.enabled && cfg.sample.useCheckpoints &&
+        // Sampled single-core jobs with a run directory share its
+        // sealed checkpoint store, so repeated invocations over the
+        // same workload prefix skip functional warming.  Server jobs
+        // get none: their scheduler state is not checkpointed.
+        if (cfg.sample.enabled && !cfg.server.enabled &&
             dir.enabled()) {
             cfg.sample.checkpoints =
                 makeSealedCheckpointStore(options.runDir);

@@ -66,7 +66,7 @@ struct SimConfig
      * runs N cores — private L1s, prefetch engines and arbiter per
      * core — against one shared L2, fed by closed-loop client
      * sessions through the admission scheduler.  Disabled (the
-     * default) keeps the legacy single-core path untouched.
+     * default), one core replays the pre-merged trace.
      */
     server::ServerConfig server;
 
@@ -74,8 +74,8 @@ struct SimConfig
      * SMARTS-style sampling axis (src/sample).  When enabled the
      * run alternates detailed windows with fast-forward functional
      * warming and reports CPI / miss-rate estimates with confidence
-     * intervals; disabled (the default) the simulation path is
-     * bit-identical to the legacy full-detail run.
+     * intervals; disabled (the default) every cycle runs in full
+     * detail.
      */
     sample::SampleConfig sample;
 

@@ -1,6 +1,8 @@
 #include "harness/simulator.hh"
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "cpu/core.hh"
 #include "dprefetch/factory.hh"
@@ -12,10 +14,9 @@
 #include "prefetch/nextline.hh"
 #include "prefetch/prefetcher.hh"
 #include "prefetch/software_cgp.hh"
-#include "sample/controller.hh"
+#include "sample/checkpoint.hh"
 #include "server/server.hh"
 #include "trace/expand.hh"
-#include "trace/source.hh"
 #include "util/logging.hh"
 
 namespace cgp
@@ -35,8 +36,7 @@ struct EngineSet
     std::unique_ptr<DataPrefetcher> dengine;
     FailSoftPrefetcher *failsoft = nullptr;
     FailSoftDataPrefetcher *dfailsoft = nullptr;
-    const Cghc *cghc = nullptr;
-    Cghc *cghcMut = nullptr; ///< checkpoint restore needs mutability
+    Cghc *cghc = nullptr;
     bool ctorFailed = false;
     std::string ctorReason;
 };
@@ -71,8 +71,7 @@ buildEngines(MemoryHierarchy &mem, const SimConfig &config,
           case PrefetchKind::Cgp: {
             auto cgp = std::make_unique<CgpPrefetcher>(
                 mem.l1i(), config.cghc, config.depth);
-            set.cghcMut = &cgp->cghc();
-            set.cghc = set.cghcMut;
+            set.cghc = &cgp->cghc();
             inner = std::move(cgp);
             break;
           }
@@ -87,7 +86,6 @@ buildEngines(MemoryHierarchy &mem, const SimConfig &config,
         set.ctorFailed = true;
         set.ctorReason = e.what();
         set.cghc = nullptr;
-        set.cghcMut = nullptr;
         inner.reset();
         cgp_error("prefetcher construction failed (", set.ctorReason,
                   "); running without prefetch");
@@ -153,8 +151,8 @@ accumulateCacheCounters(SimResult &r, const Cache &l1i,
 }
 
 /**
- * Wire the checkpointable structures of one single-core machine into
- * a CheckpointParts.  The D-side engines hide behind the fail-soft
+ * Wire the checkpointable structures of one core into a
+ * CheckpointParts.  The D-side engines hide behind the fail-soft
  * wrapper (and, for the Combined stack, the multi fan-out), so they
  * are recovered by type.
  */
@@ -167,7 +165,7 @@ makeCheckpointParts(MemoryHierarchy &mem, Core &core,
     p.l1d = &mem.l1d();
     p.l2 = &mem.l2();
     p.branch = &core.branchUnit();
-    p.cghc = engines.cghcMut;
+    p.cghc = engines.cghc;
     p.core = &core;
     if (engines.dfailsoft != nullptr) {
         const auto bind = [&p](DataPrefetcher *e) {
@@ -228,16 +226,15 @@ accumulateDegraded(SimResult &r, const EngineSet &engines)
     }
 }
 
-/**
- * The N-core server-model path (config.server.enabled): per-core
- * hierarchies and engines behind one shared L2, sessions fed by the
- * admission scheduler (or the pre-merged trace in singleStream
- * mode).  The scalar SimResult counters aggregate across cores; the
- * per-core breakdown and latency summary ride in result.server.
- */
+} // anonymous namespace
+
 SimResult
-runServerSimulation(const Workload &workload, const SimConfig &config)
+runSimulation(const Workload &workload, const SimConfig &config)
 {
+    cgp_assert(workload.registry != nullptr && workload.trace != nullptr,
+               "incomplete workload");
+
+    // 1. Bind the trace to the requested binary layout.
     LayoutBuilder builder(*workload.registry);
     ExecutionProfile empty_profile;
     const ExecutionProfile &profile = workload.omProfile
@@ -245,6 +242,9 @@ runServerSimulation(const Workload &workload, const SimConfig &config)
         : empty_profile;
     const CodeImage image = builder.build(config.layout, profile);
 
+    // 2. Assemble the machine: one core replaying the pre-merged
+    // trace, or (config.server.enabled) N cores serving the query
+    // library through the admission scheduler.
     server::ServerWiring wiring;
     wiring.registry = workload.registry.get();
     wiring.image = &image;
@@ -256,24 +256,25 @@ runServerSimulation(const Workload &workload, const SimConfig &config)
     wiring.core = config.core;
     wiring.core.perfectICache = config.perfectICache;
     wiring.sample = config.sample;
-    // No warm-state checkpoints on the server path: session and
-    // scheduler state are not serialized (DESIGN.md §11.4).
-    wiring.sample.checkpoints = {};
 
-    if (config.server.singleStream) {
-        wiring.singleStream = workload.trace.get();
-    } else if (workload.queryLibrary != nullptr &&
-               !workload.queryLibrary->empty()) {
-        for (const auto &q : *workload.queryLibrary)
-            wiring.queries.push_back(&q);
-        wiring.switchStub = workload.switchStub.get();
+    server::ServerConfig server_cfg;
+    if (!config.server.enabled) {
+        wiring.trace = workload.trace.get();
     } else {
-        // SPEC proxies have no query structure: the whole trace is a
-        // one-query library.
-        wiring.queries.push_back(workload.trace.get());
+        server_cfg = config.server;
+        if (workload.queryLibrary != nullptr &&
+            !workload.queryLibrary->empty()) {
+            for (const auto &q : *workload.queryLibrary)
+                wiring.queries.push_back(&q);
+            wiring.switchStub = workload.switchStub.get();
+        } else {
+            // SPEC proxies have no query structure: the whole trace
+            // is a one-query library.
+            wiring.queries.push_back(workload.trace.get());
+        }
     }
 
-    std::vector<EngineSet> engines(config.server.cores);
+    std::vector<EngineSet> engines(server_cfg.cores);
     wiring.engines = [&](MemoryHierarchy &mem, unsigned coreId) {
         EngineSet set = buildEngines(mem, config, *workload.registry,
                                      image, profile);
@@ -284,9 +285,21 @@ runServerSimulation(const Workload &workload, const SimConfig &config)
         return pair;
     };
 
-    server::DbServer srv(config.server, wiring);
-    srv.run();
+    server::DbServer srv(server_cfg, std::move(wiring));
 
+    // 3. Run.  A single-stream run's warm prefix may come from (and
+    // go to) the checkpoint store, keyed by workload and label.
+    sample::CheckpointTarget checkpoint;
+    if (!config.server.enabled) {
+        checkpoint.parts =
+            makeCheckpointParts(srv.memAt(0), srv.coreAt(0), engines[0]);
+        checkpoint.workload = workload.name;
+        checkpoint.configLabel = config.describe();
+    }
+    srv.run(checkpoint);
+
+    // 4. Collect.  The scalar counters aggregate across cores; a
+    // server run adds the per-core breakdown and latency summary.
     SimResult r;
     r.workload = workload.name;
     r.config = config.describe();
@@ -315,96 +328,18 @@ runServerSimulation(const Workload &workload, const SimConfig &config)
         ? 0.0
         : static_cast<double>(emitted) / static_cast<double>(calls);
 
-    r.serverEnabled = true;
-    r.server = srv.stats();
-    if (config.sample.enabled) {
-        r.sampledEnabled = true;
-        r.sampled = srv.sampledStats();
-        r.instrs += r.sampled.warmedInstrs;
+    if (config.server.enabled) {
+        r.serverEnabled = true;
+        r.server = srv.stats();
     }
-    return r;
-}
-
-} // anonymous namespace
-
-SimResult
-runSimulation(const Workload &workload, const SimConfig &config)
-{
-    cgp_assert(workload.registry != nullptr && workload.trace != nullptr,
-               "incomplete workload");
-
-    if (config.server.enabled)
-        return runServerSimulation(workload, config);
-
-    // 1. Bind the trace to the requested binary layout.
-    LayoutBuilder builder(*workload.registry);
-    ExecutionProfile empty_profile;
-    const ExecutionProfile &profile = workload.omProfile
-        ? *workload.omProfile
-        : empty_profile;
-    const CodeImage image = builder.build(config.layout, profile);
-
-    ExpanderConfig expand_cfg;
-    expand_cfg.instrScale =
-        config.layout == LayoutKind::PettisHansen
-        ? config.omInstrScale
-        : 1.0;
-    InstructionExpander stream(*workload.registry, image,
-                               *workload.trace, expand_cfg);
-
-    // 2. Assemble the machine.
-    MemoryHierarchy mem(config.mem);
-    EngineSet engines = buildEngines(mem, config, *workload.registry,
-                                     image, profile);
-
-    CoreConfig core_cfg = config.core;
-    core_cfg.perfectICache = config.perfectICache;
-    Core core(stream, mem, engines.iengine.get(), core_cfg,
-              engines.dengine.get());
-
-    // 3. Run — full-detail Core::run(), or the sampling controller
-    // when the sampling axis is enabled (the legacy path stays
-    // byte-identical: nothing below branches on sampling except the
-    // extra result block).
-    sample::SampledStats sampledStats;
-    if (config.sample.enabled) {
-        sample::CheckpointParts parts =
-            makeCheckpointParts(mem, core, engines);
-        sampledStats =
-            sample::runSampled(core, mem, stream, config.sample,
-                               parts, workload.name,
-                               config.describe());
-    } else {
-        core.run();
-    }
-
-    // 4. Collect.
-    SimResult r;
-    r.workload = workload.name;
-    r.config = config.describe();
-    r.cycles = core.cycles();
-    r.instrs = core.committedInstrs();
     if (config.sample.enabled) {
         // Warmed instructions executed (functionally); cycles()
         // already includes the IPC-scaled clock jumps, so the pair
         // remains an end-to-end CPI estimate.
-        r.instrs += sampledStats.warmedInstrs;
         r.sampledEnabled = true;
-        r.sampled = sampledStats;
+        r.sampled = srv.sampledStats();
+        r.instrs += r.sampled.warmedInstrs;
     }
-
-    accumulateCacheCounters(r, mem.l1i(), mem.l1d());
-    r.l2Misses = mem.l2().demandMisses();
-    accumulateArbiterCounters(r, mem.arbiter());
-    r.busLines = mem.port().requests();
-
-    r.branchMispredicts = core.branchUnit().mispredicts();
-    if (engines.cghc != nullptr) {
-        r.cghcAccesses = engines.cghc->accesses();
-        r.cghcHits = engines.cghc->hits();
-    }
-    accumulateDegraded(r, engines);
-    r.instrsPerCall = stream.instrsPerCall();
     return r;
 }
 

@@ -6,8 +6,8 @@
 #include "db/dbsys.hh"
 #include "db/tpch.hh"
 #include "db/wisconsin.hh"
-#include "server/compat.hh"
 #include "trace/expand.hh"
+#include "trace/interleave.hh"
 #include "util/logging.hh"
 
 namespace cgp
@@ -42,7 +42,7 @@ recordTpchQuery(db::DbSystem &dbsys, int query,
 /**
  * Record the OS-scheduler stub once.  The stub body is stateless and
  * balanced, so replaying this buffer at every context switch emits
- * exactly the events the old per-switch onSwitch callback recorded.
+ * the same events as recording the stub afresh at each switch.
  */
 std::shared_ptr<TraceBuffer>
 recordSwitchStub(const db::DbFuncs &fn)
@@ -64,9 +64,7 @@ recordSwitchStub(const db::DbFuncs &fn)
     return buf;
 }
 
-/** Merge per-query buffers into one scheduled trace via the server
- *  model's legacy-compatible shim (byte-identical to the deprecated
- *  trace/interleave merger). */
+/** Merge per-query buffers into one scheduled trace. */
 std::shared_ptr<TraceBuffer>
 schedule(const std::vector<TraceBuffer> &queries,
          const TraceBuffer &stub)
@@ -75,7 +73,7 @@ schedule(const std::vector<TraceBuffer> &queries,
     ptrs.reserve(queries.size());
     for (const auto &q : queries)
         ptrs.push_back(&q);
-    return std::make_shared<TraceBuffer>(server::legacyMerge(
+    return std::make_shared<TraceBuffer>(interleaveTraces(
         ptrs, WorkloadFactory::quantumInstrs(), &stub));
 }
 

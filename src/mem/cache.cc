@@ -255,7 +255,7 @@ Cache::saveState() const
 }
 
 void
-Cache::loadState(const Json &state)
+Cache::checkState(const Json &state) const
 {
     if (state.at("name").asString() != config_.name ||
         state.at("size_bytes").asUint() != config_.sizeBytes ||
@@ -264,15 +264,29 @@ Cache::loadState(const Json &state)
         throw std::runtime_error(
             "cache checkpoint geometry mismatch for " + config_.name);
     }
-    const Json &tags = state.at("tag");
-    const Json &lrus = state.at("lru");
     const Json &meta = state.at("meta");
-    if (tags.size() != lines_.size() || lrus.size() != lines_.size() ||
+    if (state.at("tag").size() != lines_.size() ||
+        state.at("lru").size() != lines_.size() ||
         meta.size() != lines_.size()) {
         throw std::runtime_error(
             "cache checkpoint line count mismatch for " +
             config_.name);
     }
+    for (std::size_t i = 0; i < lines_.size(); ++i) {
+        if ((meta[i].asUint() >> 4) >= numSources) {
+            throw std::runtime_error(
+                "cache checkpoint has an invalid access source");
+        }
+    }
+}
+
+void
+Cache::loadState(const Json &state)
+{
+    checkState(state);
+    const Json &tags = state.at("tag");
+    const Json &lrus = state.at("lru");
+    const Json &meta = state.at("meta");
     tick_ = state.at("tick").asUint();
     inflight_.clear();
     for (std::size_t i = 0; i < lines_.size(); ++i) {
@@ -285,12 +299,7 @@ Cache::loadState(const Json &state)
         l.dirty = (flags & 2u) != 0;
         l.prefetched = (flags & 4u) != 0;
         l.referenced = (flags & 8u) != 0;
-        const unsigned src = flags >> 4;
-        if (src >= numSources) {
-            throw std::runtime_error(
-                "cache checkpoint has an invalid access source");
-        }
-        l.source = static_cast<AccessSource>(src);
+        l.source = static_cast<AccessSource>(flags >> 4);
     }
 }
 

@@ -237,9 +237,12 @@ class Cache
     bool inflightEmpty() const { return inflight_.empty(); }
 
     /// @{ Warm-state checkpointing: tag/LRU/flag arrays plus the LRU
-    /// tick.  MSHRs must be empty at save time (asserted); loadState
-    /// verifies the serialized geometry matches this cache's.
+    /// tick.  MSHRs must be empty at save time (asserted).  Here and
+    /// in every checkpointed structure, checkState throws unless the
+    /// state fits this structure (geometry, sizes, value ranges) and
+    /// touches nothing; loadState checks first, then loads.
     Json saveState() const;
+    void checkState(const Json &state) const;
     void loadState(const Json &state);
     /// @}
 

@@ -427,10 +427,30 @@ Cghc::saveState() const
 }
 
 void
-Cghc::loadState(const Json &state)
+Cghc::checkState(const Json &state) const
 {
     if (state.at("describe").asString() != config_.describe())
         throw std::runtime_error("CGHC checkpoint geometry mismatch");
+    if (config_.infinite)
+        return; // the unbounded map has no geometry to match
+    const auto check_level = [this](const std::vector<Entry> &lv,
+                                    const Json &in) {
+        if (in.at("tag").size() != lv.size() ||
+            in.at("index_count").size() != lv.size() ||
+            in.at("lru").size() != lv.size() ||
+            in.at("slots").size() != lv.size() * config_.slots) {
+            throw std::runtime_error(
+                "CGHC checkpoint level size mismatch");
+        }
+    };
+    check_level(l1_, state.at("l1"));
+    check_level(l2_, state.at("l2"));
+}
+
+void
+Cghc::loadState(const Json &state)
+{
+    checkState(state);
     tick_ = state.at("tick").asUint();
     const auto level_from_json = [this](std::vector<Entry> &lv,
                                         const Json &in) {
@@ -438,12 +458,6 @@ Cghc::loadState(const Json &state)
         const Json &idxs = in.at("index_count");
         const Json &lrus = in.at("lru");
         const Json &slots = in.at("slots");
-        if (tags.size() != lv.size() || idxs.size() != lv.size() ||
-            lrus.size() != lv.size() ||
-            slots.size() != lv.size() * config_.slots) {
-            throw std::runtime_error(
-                "CGHC checkpoint level size mismatch");
-        }
         for (std::size_t i = 0; i < lv.size(); ++i) {
             Entry &e = lv[i];
             e.valid = !tags[i].isNull();

@@ -127,6 +127,7 @@ class Cghc
     /// infinite map, serialized in sorted key order for determinism)
     /// plus the LRU tick.
     Json saveState() const;
+    void checkState(const Json &state) const;
     void loadState(const Json &state);
     /// @}
 

@@ -9,6 +9,7 @@
 #include "dprefetch/stride.hh"
 #include "mem/cache.hh"
 #include "prefetch/cghc.hh"
+#include "trace/expand.hh"
 
 namespace cgp::sample
 {
@@ -40,10 +41,11 @@ toHex(std::uint64_t v)
     return out;
 }
 
-/** Restore one optional section, demanding shape agreement. */
+/** Check one optional section: presence must match the machine's
+ *  configuration, and a present section must fit its structure. */
 template <typename T>
 void
-applySection(const Json &state, const char *key, T *part)
+checkSection(const Json &state, const char *key, const T *part)
 {
     const Json &section = state.at(key);
     if (section.isNull() != (part == nullptr))
@@ -51,7 +53,15 @@ applySection(const Json &state, const char *key, T *part)
             std::string("checkpoint section '") + key +
             "' presence does not match the machine configuration");
     if (part != nullptr)
-        part->loadState(section);
+        part->checkState(section);
+}
+
+template <typename T>
+void
+loadSection(const Json &state, const char *key, T *part)
+{
+    if (part != nullptr)
+        part->loadState(state.at(key));
 }
 
 } // namespace
@@ -123,32 +133,96 @@ applyCheckpoint(const Json &doc, const CheckpointParts &parts,
                 const std::string &configLabel,
                 std::uint64_t warmup_instrs)
 {
-    const Json &meta = doc.at("meta");
-    if (meta.at("format").asInt() != checkpointFormat)
-        throw std::runtime_error("unknown checkpoint format");
-    if (meta.at("workload").asString() != workload ||
-        meta.at("config").asString() != configLabel ||
-        meta.at("warmup_instrs").asUint() != warmup_instrs)
-        throw std::runtime_error(
-            "checkpoint identity mismatch (workload/config/warmup)");
-    const std::uint64_t consumed = meta.at("consumed").asUint();
-    if (consumed > warmup_instrs)
-        throw std::runtime_error(
-            "checkpoint consumed count exceeds warmup budget");
+    std::uint64_t consumed = 0;
+    Addr lastFetchLine = invalidAddr;
+    const Json *state = nullptr;
+    try {
+        const Json &meta = doc.at("meta");
+        if (meta.at("format").asInt() != checkpointFormat)
+            throw std::runtime_error("unknown checkpoint format");
+        if (meta.at("workload").asString() != workload ||
+            meta.at("config").asString() != configLabel ||
+            meta.at("warmup_instrs").asUint() != warmup_instrs)
+            throw std::runtime_error("checkpoint identity mismatch "
+                                     "(workload/config/warmup)");
+        consumed = meta.at("consumed").asUint();
+        if (consumed > warmup_instrs)
+            throw std::runtime_error(
+                "checkpoint consumed count exceeds warmup budget");
 
-    const Json &state = doc.at("state");
-    applySection(state, "l1i", parts.l1i);
-    applySection(state, "l1d", parts.l1d);
-    applySection(state, "l2", parts.l2);
-    applySection(state, "branch", parts.branch);
-    applySection(state, "cghc", parts.cghc);
-    applySection(state, "stride", parts.stride);
-    applySection(state, "correlation", parts.correlation);
-    applySection(state, "semantic", parts.semantic);
+        state = &doc.at("state");
+        checkSection(*state, "l1i", parts.l1i);
+        checkSection(*state, "l1d", parts.l1d);
+        checkSection(*state, "l2", parts.l2);
+        checkSection(*state, "branch", parts.branch);
+        checkSection(*state, "cghc", parts.cghc);
+        checkSection(*state, "stride", parts.stride);
+        checkSection(*state, "correlation", parts.correlation);
+        checkSection(*state, "semantic", parts.semantic);
+        lastFetchLine =
+            state->at("core").at("last_fetch_line").asUint();
+    } catch (const std::runtime_error &e) {
+        throw CheckpointRejected(e.what());
+    }
+
+    loadSection(*state, "l1i", parts.l1i);
+    loadSection(*state, "l1d", parts.l1d);
+    loadSection(*state, "l2", parts.l2);
+    loadSection(*state, "branch", parts.branch);
+    loadSection(*state, "cghc", parts.cghc);
+    loadSection(*state, "stride", parts.stride);
+    loadSection(*state, "correlation", parts.correlation);
+    loadSection(*state, "semantic", parts.semantic);
     if (parts.core)
-        parts.core->setLastFetchLine(
-            state.at("core").at("last_fetch_line").asUint());
+        parts.core->setLastFetchLine(lastFetchLine);
     return consumed;
+}
+
+std::uint64_t
+warmPrefix(Core &core, InstructionExpander &stream,
+           const SampleConfig &config, const CheckpointTarget &target,
+           SampledStats &stats)
+{
+    if (config.warmupInstrs == 0)
+        return 0;
+
+    const bool store =
+        config.functionalWarming && config.checkpoints.any();
+    const std::string key = store
+        ? checkpointKey(target.workload, target.configLabel,
+                        config.warmupInstrs)
+        : std::string();
+
+    if (store && config.checkpoints.load) {
+        if (auto doc = config.checkpoints.load(key)) {
+            try {
+                const std::uint64_t consumed = applyCheckpoint(
+                    *doc, target.parts, target.workload,
+                    target.configLabel, config.warmupInstrs);
+                if (stream.advance(consumed) != consumed)
+                    throw std::runtime_error(
+                        "trace shorter than checkpoint replay");
+                stats.checkpointUsed = true;
+                return consumed;
+            } catch (const CheckpointRejected &) {
+                // Nothing was touched: warm from scratch.
+            }
+        }
+    }
+
+    const std::uint64_t consumed =
+        core.fastForward(config.warmupInstrs,
+                         config.functionalWarming);
+    if (store && config.checkpoints.save && consumed > 0) {
+        config.checkpoints.save(
+            key, buildCheckpoint(target.parts, target.workload,
+                                 target.configLabel,
+                                 config.warmupInstrs, consumed));
+        stats.checkpointSaved = true;
+    }
+    // The core's own fastForward accounting already covers this
+    // prefix — only checkpoint replay is external.
+    return 0;
 }
 
 } // namespace cgp::sample

@@ -12,14 +12,21 @@
  * then replay the trace expander forward by the recorded instruction
  * count (expansion is deterministic, so the expander's internal
  * state is reconstructed rather than serialized).
+ *
+ * Restore is all-or-nothing: every section is checked against the
+ * machine before any structure is touched, so a checkpoint that does
+ * not fit is rejected with the machine still in its reset state.
  */
 
 #ifndef CGP_SAMPLE_CHECKPOINT_HH
 #define CGP_SAMPLE_CHECKPOINT_HH
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 
+#include "sample/config.hh"
+#include "sample/estimator.hh"
 #include "util/json.hh"
 
 namespace cgp
@@ -30,6 +37,7 @@ class Cache;
 class Cghc;
 class CorrelationDataPrefetcher;
 class Core;
+class InstructionExpander;
 class SemanticDataPrefetcher;
 class StrideDataPrefetcher;
 
@@ -42,8 +50,8 @@ namespace sample
  * elsewhere; the engine pointers are null when the corresponding
  * prefetcher is not part of the configuration (the checkpoint
  * records which sections are present and restore demands the same
- * shape — guaranteed in practice because the configuration string
- * is part of the checkpoint key).
+ * shape and geometry — the configuration label in the key does not
+ * name every geometry, so restore checks rather than trusts it).
  */
 struct CheckpointParts
 {
@@ -56,6 +64,21 @@ struct CheckpointParts
     CorrelationDataPrefetcher *correlation = nullptr;
     SemanticDataPrefetcher *semantic = nullptr;
     Core *core = nullptr;
+};
+
+/** What a warm-prefix checkpoint covers and is keyed by. */
+struct CheckpointTarget
+{
+    CheckpointParts parts;
+    std::string workload;
+    std::string configLabel;
+};
+
+/** A checkpoint that does not fit the machine, rejected before any
+ *  state was touched (the caller may warm from scratch). */
+struct CheckpointRejected : std::runtime_error
+{
+    using std::runtime_error::runtime_error;
 };
 
 /**
@@ -80,11 +103,12 @@ Json buildCheckpoint(const CheckpointParts &parts,
                      std::uint64_t consumed);
 
 /**
- * Validate @p doc's metadata against the expected identity, then
- * load every state section into @p parts.  Metadata is checked
- * *before* any structure is mutated, so an identity mismatch leaves
- * the machine untouched.  Throws std::runtime_error on mismatch or
- * malformed state.
+ * Validate @p doc's metadata against the expected identity and every
+ * state section's presence and geometry against @p parts, then load
+ * the sections.  Throws CheckpointRejected, touching nothing, when
+ * anything does not fit.  Once checked, only a document whose values
+ * have the wrong JSON type can still fail mid-load; buildCheckpoint
+ * never writes one, so that std::runtime_error is not a rejection.
  * @return the recorded consumed-instruction count for the caller to
  *         replay through InstructionExpander::advance().
  */
@@ -93,6 +117,19 @@ std::uint64_t applyCheckpoint(const Json &doc,
                               const std::string &workload,
                               const std::string &configLabel,
                               std::uint64_t warmup_instrs);
+
+/**
+ * Warm @p core for @p config's warmupInstrs prefix: restore the
+ * checkpoint the store has for @p target, else fast-forward
+ * functionally and offer the cut state back to the store.  The
+ * store is used only when it has hooks and warming is functional.
+ * @return instructions the prefix consumed outside the core's own
+ *         fastForward accounting (i.e. via checkpoint replay).
+ */
+std::uint64_t warmPrefix(Core &core, InstructionExpander &stream,
+                         const SampleConfig &config,
+                         const CheckpointTarget &target,
+                         SampledStats &stats);
 
 } // namespace sample
 } // namespace cgp

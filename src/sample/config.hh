@@ -77,11 +77,9 @@ struct SampleConfig
      */
     bool functionalWarming = true;
 
-    /** Consult/populate the checkpoint hooks for warmup reuse. */
-    bool useCheckpoints = true;
-
-    /** Checkpoint store (not part of the configuration identity —
-     *  describe() ignores it). */
+    /** Checkpoint store for warmup reuse, used whenever it has
+     *  hooks (not part of the configuration identity — describe()
+     *  ignores it). */
     CheckpointHooks checkpoints;
 
     /** Label fragment ("smp50k_500k"), stable across hook changes. */

@@ -16,8 +16,8 @@ namespace cgp::server
 
 struct ServerConfig
 {
-    /** Model the workload through the server (false = legacy
-     *  single-core pre-merged-trace path). */
+    /** Serve the workload's query library through the admission
+     *  scheduler (false = one core replays the pre-merged trace). */
     bool enabled = false;
 
     /** Cores, each with private L1-I/L1-D/CGP/D-engine/arbiter. */
@@ -26,17 +26,8 @@ struct ServerConfig
     /** Concurrent client sessions (closed loop). */
     unsigned sessions = 1;
 
-    /**
-     * Replay the workload's pre-merged trace on core 0 instead of
-     * running the admission scheduler.  With cores == sessions == 1
-     * this is byte-identical to the legacy path (the golden
-     * contract); it also routes the legacy interleaved figures
-     * through the server plumbing.
-     */
-    bool singleStream = false;
-
     /** Instructions per scheduling quantum (jittered ±50% like the
-     *  legacy interleaver). */
+     *  offline interleaver's). */
     std::uint64_t quantumInstrs = 60000;
 
     /** Mean of the exponential per-session think time, in cycles

@@ -1,6 +1,7 @@
 #include "server/server.hh"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "util/logging.hh"
 
@@ -15,42 +16,45 @@ DbServer::DbServer(const ServerConfig &config, ServerWiring wiring)
                "incomplete server wiring");
     cgp_assert(config_.cores >= 1, "server needs at least one core");
 
-    if (config_.singleStream) {
+    const bool single_stream = wiring_.trace != nullptr;
+    cgp_assert(single_stream == wiring_.queries.empty(),
+               "server needs either a merged trace or a query library");
+    if (single_stream) {
         cgp_assert(config_.cores == 1,
-                   "singleStream mode is single-core");
-        cgp_assert(wiring_.singleStream != nullptr,
-                   "singleStream mode without a trace");
+                   "single-stream mode is single-core");
     } else {
-        cgp_assert(!wiring_.queries.empty(),
-                   "admission mode without a query library");
+        if (wiring_.sample.checkpoints.any()) {
+            throw std::invalid_argument(
+                "warm-state checkpoints need single-stream mode: "
+                "scheduler and session state are not serialized");
+        }
         sched_ = std::make_unique<AdmissionScheduler>(
             config_, wiring_.queries.size());
     }
 
-    CoreConfig core_cfg = wiring_.core;
     for (unsigned i = 0; i < config_.cores; ++i) {
         auto unit = std::make_unique<CoreUnit>();
         unit->mem = std::make_unique<MemoryHierarchy>(
             wiring_.mem, shared_, i);
-        if (config_.singleStream) {
-            unit->bufferSource = std::make_unique<BufferTraceSource>(
-                *wiring_.singleStream);
-            unit->expander = std::make_unique<InstructionExpander>(
-                *wiring_.registry, *wiring_.image,
-                *unit->bufferSource, wiring_.expand);
+        TraceSource *source = nullptr;
+        if (single_stream) {
+            unit->bufferSource =
+                std::make_unique<BufferTraceSource>(*wiring_.trace);
+            source = unit->bufferSource.get();
         } else {
             unit->source = std::make_unique<CoreTraceSource>(
                 *sched_, wiring_.queries, wiring_.switchStub,
                 config_, i);
-            unit->expander = std::make_unique<InstructionExpander>(
-                *wiring_.registry, *wiring_.image, *unit->source,
-                wiring_.expand);
+            source = unit->source.get();
         }
+        unit->expander = std::make_unique<InstructionExpander>(
+            *wiring_.registry, *wiring_.image, *source,
+            wiring_.expand);
         if (wiring_.engines)
             unit->engines = wiring_.engines(*unit->mem, i);
         unit->core = std::make_unique<Core>(
             *unit->expander, *unit->mem,
-            unit->engines.iengine.get(), core_cfg,
+            unit->engines.iengine.get(), wiring_.core,
             unit->engines.dengine.get());
         units_.push_back(std::move(unit));
     }
@@ -59,49 +63,51 @@ DbServer::DbServer(const ServerConfig &config, ServerWiring wiring)
 DbServer::~DbServer() = default;
 
 void
-DbServer::run()
+DbServer::run(const sample::CheckpointTarget &checkpoint)
 {
-    if (wiring_.sample.enabled) {
-        runSampled(wiring_.sample);
-        return;
-    }
-
     for (auto &u : units_)
         u->core->beginRun();
-
-    Cycle cycle = 0;
-    for (;;) {
-        bool running = false;
-        for (auto &u : units_) {
-            if (!u->core->finished()) {
-                running = true;
-                break;
-            }
-        }
-        if (!running)
-            break;
-        ++cycle;
-        if (sched_ != nullptr)
-            sched_->wake(cycle);
-        // Fixed core order every cycle: scheduler decisions (and
-        // thus the whole run) are deterministic.
-        for (auto &u : units_) {
-            if (u->core->finished())
-                continue;
-            if (u->source != nullptr)
-                u->source->setNow(cycle);
-            u->core->stepCycle();
-        }
+    if (wiring_.sample.enabled) {
+        runSampled(checkpoint);
+    } else {
+        Cycle cycle = 0;
+        while (anyRunning())
+            stepAll(cycle);
     }
     finalize();
 }
 
-void
-DbServer::runSampled(const sample::SampleConfig &cfg)
+bool
+DbServer::anyRunning() const
 {
-    for (auto &u : units_)
-        u->core->beginRun();
+    for (const auto &u : units_) {
+        if (!u->core->finished())
+            return true;
+    }
+    return false;
+}
 
+void
+DbServer::stepAll(Cycle &cycle)
+{
+    ++cycle;
+    if (sched_ != nullptr)
+        sched_->wake(cycle);
+    // Fixed core order every cycle: scheduler decisions (and thus
+    // the whole run) are deterministic.
+    for (auto &u : units_) {
+        if (u->core->finished())
+            continue;
+        if (u->source != nullptr)
+            u->source->setNow(cycle);
+        u->core->stepCycle();
+    }
+}
+
+void
+DbServer::runSampled(const sample::CheckpointTarget &checkpoint)
+{
+    const sample::SampleConfig &cfg = wiring_.sample;
     sample::WindowEstimator cpiE, l1iE, l1dE, stallE;
     Cycle cycle = 0;
     Cycle totalSkip = 0;
@@ -109,39 +115,22 @@ DbServer::runSampled(const sample::SampleConfig &cfg)
         ? cfg.periodCycles - cfg.windowCycles
         : 0;
 
-    const auto anyRunning = [this]() {
-        for (const auto &u : units_)
-            if (!u->core->finished())
-                return true;
-        return false;
-    };
     const auto allDrained = [this]() {
         for (const auto &u : units_)
             if (!u->core->finished() && !u->core->drained())
                 return false;
         return true;
     };
-    // One lockstep cycle, identical to the legacy loop's body.
-    const auto stepAll = [this, &cycle]() {
-        ++cycle;
-        if (sched_ != nullptr)
-            sched_->wake(cycle);
-        for (auto &u : units_) {
-            if (u->core->finished())
-                continue;
-            if (u->source != nullptr)
-                u->source->setNow(cycle);
-            u->core->stepCycle();
-        }
-    };
 
     // Warm the prefix.  In admission mode the sources are dry until
-    // the scheduler binds sessions, so this mostly matters for
-    // singleStream runs; per-period warming covers the rest.
-    if (cfg.warmupInstrs > 0) {
-        for (auto &u : units_)
-            u->core->fastForward(cfg.warmupInstrs,
-                                 cfg.functionalWarming);
+    // the scheduler binds sessions, so this mostly matters in
+    // single-stream mode; per-period warming covers the rest.  Only
+    // single-stream runs carry checkpoint hooks (the constructor
+    // rejects them otherwise), so @p checkpoint is core 0's.
+    std::uint64_t replayed = 0;
+    for (auto &u : units_) {
+        replayed += sample::warmPrefix(*u->core, *u->expander, cfg,
+                                       checkpoint, sampledStats_);
     }
 
     std::vector<std::uint64_t> i0(units_.size(), 0);
@@ -163,7 +152,7 @@ DbServer::runSampled(const sample::SampleConfig &cfg)
         }
 
         while (anyRunning() && cycle - winStart < cfg.windowCycles)
-            stepAll();
+            stepAll(cycle);
 
         const Cycle winCycles = cycle - winStart;
         Cycle coreCycleDelta = 0;
@@ -206,7 +195,7 @@ DbServer::runSampled(const sample::SampleConfig &cfg)
         for (auto &u : units_)
             u->core->suspendFetch(true);
         while (anyRunning() && !allDrained())
-            stepAll();
+            stepAll(cycle);
         for (auto &u : units_)
             u->core->suspendFetch(false);
         if (!anyRunning())
@@ -230,7 +219,9 @@ DbServer::runSampled(const sample::SampleConfig &cfg)
         // lets the scheduler's think timers elapse over the skipped
         // region.  With nothing consumed and an idle window (cores
         // parked on think timers) the idle stretch itself is skipped
-        // — there is no state to warm in it.
+        // — there is no state to warm in it.  A single-stream source
+        // is never dry, so there it would take a whole window without
+        // one commit.
         Cycle skip = 0;
         if (consumed > 0)
             skip = consumed * std::max<Cycle>(winCycles, 1) /
@@ -246,9 +237,8 @@ DbServer::runSampled(const sample::SampleConfig &cfg)
             totalSkip += skip;
         }
     }
-    finalize();
-
     sampledStats_.detailedCycles = cycle - totalSkip;
+    sampledStats_.warmedInstrs = replayed;
     for (const auto &u : units_) {
         sampledStats_.detailedInstrs += u->core->committedInstrs();
         sampledStats_.warmedInstrs += u->core->warmedInstrs();
@@ -287,7 +277,7 @@ DbServer::stats() const
 {
     ServerStats s;
     s.cores = units_.size();
-    s.sessions = config_.singleStream ? 1 : config_.sessions;
+    s.sessions = sched_ == nullptr ? 1 : config_.sessions;
     s.cycles = cycles();
     s.portWaitCycles = shared_.port().waitCycles();
 

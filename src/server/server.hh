@@ -13,9 +13,11 @@
  * and Core, which the server steps in lockstep, one global cycle at
  * a time, in fixed core order (determinism).
  *
- * Correctness contract: with cores = sessions = 1 in singleStream
- * mode the server is byte-identical to the legacy single-core path
- * (enforced by a golden test).
+ * DbServer is the one place a simulated machine is assembled and
+ * stepped.  It runs in one of two modes, chosen by its input: a
+ * pre-merged trace (single-stream mode: one core replays it, no
+ * scheduler — the paper's single-core machine) or a query library
+ * (admission mode: sessions, scheduler, N cores).
  */
 
 #ifndef CGP_SERVER_SERVER_HH
@@ -29,6 +31,7 @@
 #include "dprefetch/dprefetcher.hh"
 #include "mem/hierarchy.hh"
 #include "prefetch/prefetcher.hh"
+#include "sample/checkpoint.hh"
 #include "sample/config.hh"
 #include "sample/estimator.hh"
 #include "server/config.hh"
@@ -66,16 +69,17 @@ struct ServerWiring
 
     /**
      * SMARTS-style sampling under the lockstep loop (DESIGN.md
-     * §11.4): global detailed windows, an all-core drain, per-core
+     * §11.2): global detailed windows, an all-core drain, per-core
      * functional fast-forward and one shared clock jump so the cores
-     * stay in lockstep.  Warm-state checkpoints are not offered on
-     * the server path (the scheduler/session state is not
-     * serialized); the hooks in here are ignored.
+     * stay in lockstep.  Warm-state checkpoint hooks are accepted in
+     * single-stream mode only (scheduler and session state are not
+     * serialized); admission mode rejects them.
      */
     sample::SampleConfig sample;
 
-    /** singleStream mode: the pre-merged trace replayed on core 0. */
-    const TraceBuffer *singleStream = nullptr;
+    /** Single-stream mode: the pre-merged trace the one core
+     *  replays. */
+    const TraceBuffer *trace = nullptr;
     /** Admission mode: the query library sessions draw from. */
     std::vector<const TraceBuffer *> queries;
     /** Scheduler stub replayed at each bind (may be null). */
@@ -88,9 +92,15 @@ class DbServer
     DbServer(const ServerConfig &config, ServerWiring wiring);
     ~DbServer();
 
-    /** Run to completion (throws TimeoutError / CancelledError via
-     *  the per-core watchdogs) and finalize all memory state. */
-    void run();
+    /**
+     * Run to completion (throws TimeoutError / CancelledError via
+     * the per-core watchdogs) and finalize all memory state.
+     * @param checkpoint What a sampled single-stream run's warm
+     *        prefix restores from and saves to the checkpoint hooks
+     *        (core 0's structures and the key's identity); unused
+     *        without hooks.
+     */
+    void run(const sample::CheckpointTarget &checkpoint = {});
 
     /** Global cycle count (max over cores). */
     Cycle cycles() const;
@@ -114,7 +124,7 @@ class DbServer
     {
         return units_[i]->engines.dengine.get();
     }
-    /** Null in singleStream mode. */
+    /** Null in single-stream mode. */
     const CoreTraceSource *
     sourceAt(unsigned i) const
     {
@@ -122,7 +132,7 @@ class DbServer
     }
 
     SharedL2 &sharedL2() { return shared_; }
-    /** Null in singleStream mode. */
+    /** Null in single-stream mode. */
     const AdmissionScheduler *scheduler() const { return sched_.get(); }
 
     /** Aggregate + per-core queueing statistics (valid after run). */
@@ -147,10 +157,14 @@ class DbServer
     };
 
     void finalize();
+    bool anyRunning() const;
+    /** One lockstep cycle: wake the scheduler, step every running
+     *  core in index order. */
+    void stepAll(Cycle &cycle);
 
     /** The sampled lockstep loop (run() dispatches here when the
-     *  wiring enables sampling). */
-    void runSampled(const sample::SampleConfig &cfg);
+     *  wiring enables sampling; run() finalizes afterwards). */
+    void runSampled(const sample::CheckpointTarget &checkpoint);
 
     ServerConfig config_;
     ServerWiring wiring_;

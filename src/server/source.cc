@@ -1,6 +1,5 @@
 #include "server/source.hh"
 
-#include "server/metering.hh"
 #include "util/logging.hh"
 
 namespace cgp::server
@@ -34,7 +33,7 @@ CoreTraceSource::next(TraceEvent &out)
             if (stub_ != nullptr && stubCursor_ < stub_->size()) {
                 // Scheduler-stub events run on the incoming
                 // session's stack and do not consume its quantum
-                // (same accounting as the legacy interleaver).
+                // (same accounting as the offline interleaver).
                 out = stub_->at(stubCursor_++);
                 return Pull::Event;
             }
@@ -68,7 +67,7 @@ CoreTraceSource::next(TraceEvent &out)
         ++binds_;
         pendingSwitch_ = true;
         stubCursor_ = 0;
-        // Jittered quantum, like the legacy interleaver's: I/O waits
+        // Jittered quantum, like the offline interleaver's: I/O waits
         // and lock hand-offs make real slice lengths vary.
         quantumLeft_ = quantumInstrs_ / 2 +
             rng_.nextBelow(quantumInstrs_);

@@ -6,8 +6,8 @@
  * At each bind it emits a Switch event (the expander keys per-session
  * call stacks off the payload) followed by the OS scheduler stub,
  * then streams the bound session's query events, metering the
- * scheduling quantum exactly like the legacy interleaver (Work =
- * payload, Switch/Hint = 0, else 1).  Quantum expiry re-queues the
+ * scheduling quantum with eventCost, like the offline interleaver
+ * (Work = payload, Switch/Hint = 0, else 1).  Quantum expiry re-queues the
  * session on this core; query completion reports to the scheduler
  * (fetch-side completion — see DESIGN.md §10).  With no runnable
  * session the source reports Dry (the core idles the cycle), and End

@@ -114,6 +114,25 @@ hintAddrOf(std::uint64_t payload)
 }
 
 /**
+ * Instructions an event costs a scheduling quantum: Work = payload,
+ * Switch and Hint = 0, anything else 1.  The offline interleaver and
+ * the server's per-core session source meter quanta with it.
+ */
+inline std::uint64_t
+eventCost(TraceEvent e)
+{
+    switch (e.kind()) {
+      case EventKind::Work:
+        return e.payload();
+      case EventKind::Switch:
+      case EventKind::Hint:
+        return 0;
+      default:
+        return 1;
+    }
+}
+
+/**
  * A recorded event sequence plus summary counts.  Summary counts are
  * maintained on append so the interleaver can meter quanta cheaply.
  */

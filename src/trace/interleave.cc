@@ -8,35 +8,15 @@
 namespace cgp
 {
 
-namespace
-{
-
-/** Instruction cost an event contributes to quantum metering. */
-std::uint64_t
-eventCost(TraceEvent e)
-{
-    switch (e.kind()) {
-      case EventKind::Work:
-        return e.payload();
-      case EventKind::Switch:
-      case EventKind::Hint:
-        return 0;
-      default:
-        return 1;
-    }
-}
-
-} // anonymous namespace
-
 TraceBuffer
 interleaveTraces(const std::vector<const TraceBuffer *> &threads,
-                 const InterleaveConfig &config)
+                 std::uint64_t quantumInstrs,
+                 const TraceBuffer *switchStub)
 {
     cgp_assert(!threads.empty(), "no threads to interleave");
-    cgp_assert(config.quantumInstrs > 0, "zero scheduling quantum");
+    cgp_assert(quantumInstrs > 0, "zero scheduling quantum");
 
     TraceBuffer out;
-    TraceRecorder rec(out);
     Rng rng(0x5c4ed);
 
     std::vector<std::size_t> cursor(threads.size(), 0);
@@ -59,11 +39,13 @@ interleaveTraces(const std::vector<const TraceBuffer *> &threads,
         last = pick;
 
         out.append(TraceEvent::make(EventKind::Switch, pick));
-        if (config.onSwitch)
-            config.onSwitch(rec);
+        if (switchStub != nullptr) {
+            for (std::size_t i = 0; i < switchStub->size(); ++i)
+                out.append(switchStub->at(i));
+        }
 
-        const std::uint64_t quantum = config.quantumInstrs / 2 +
-            rng.nextBelow(config.quantumInstrs);
+        const std::uint64_t quantum = quantumInstrs / 2 +
+            rng.nextBelow(quantumInstrs);
         std::uint64_t used = 0;
         const TraceBuffer &t = *threads[pick];
         while (cursor[pick] < t.size() && used < quantum) {

@@ -5,51 +5,34 @@
  * interleave them round-robin with an OS-scheduler stub at each
  * context switch, reproducing the instruction-cache interference that
  * concurrency causes (the paper's §2 cites frequent context switches
- * as a driver of DBMS I-cache misses).
- *
- * @deprecated New code should use the server model instead: the
- * offline merge is superseded by cgp::server — either the streaming
- * shim server::legacyMerge / server::LegacyInterleaveSource (which
- * reproduces this merger byte-for-byte and is what the workload
- * factory now routes through) or the full session-driven DbServer.
- * Kept only so existing callers and the shim's byte-compat test have
- * the reference implementation to compare against.
+ * as a driver of DBMS I-cache misses).  The merged trace is what a
+ * single-core run replays; the session-driven alternative is the
+ * server model's admission mode (src/server).
  */
 
 #ifndef CGP_TRACE_INTERLEAVE_HH
 #define CGP_TRACE_INTERLEAVE_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "trace/events.hh"
-#include "trace/recorder.hh"
 
 namespace cgp
 {
 
-struct InterleaveConfig
-{
-    /** Approximate instructions per scheduling quantum. */
-    std::uint64_t quantumInstrs = 20000;
-
-    /**
-     * Called at every context switch to record the scheduler's own
-     * execution (on the incoming thread's stack).  May be empty.
-     */
-    std::function<void(TraceRecorder &)> onSwitch;
-};
-
 /**
  * Merge per-thread traces into one schedule.  Thread i's events are
  * consumed in order; switches happen at event boundaries once the
- * quantum is exhausted.  A Switch event (payload = thread id) is
- * emitted before each thread's slice.
+ * jittered quantum (q/2 + rng.nextBelow(q), metered by eventCost) is
+ * exhausted.  A Switch event (payload = thread id) is emitted before
+ * each thread's slice, followed by the pre-recorded scheduler stub
+ * (@p switchStub, may be null), which runs on the incoming thread's
+ * stack and costs no quantum.
  */
 TraceBuffer interleaveTraces(
     const std::vector<const TraceBuffer *> &threads,
-    const InterleaveConfig &config);
+    std::uint64_t quantumInstrs, const TraceBuffer *switchStub);
 
 } // namespace cgp
 

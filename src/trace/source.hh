@@ -3,8 +3,8 @@
  * TraceSource: pull interface between trace storage and the
  * InstructionExpander.
  *
- * The legacy pipeline pre-merges every per-query trace into one big
- * TraceBuffer and expands that.  The server model instead streams
+ * A single-core run pre-merges every per-query trace into one big
+ * TraceBuffer and expands that.  Admission mode instead streams
  * events one at a time — a per-core source multiplexes session
  * traces under a scheduling quantum, so the event sequence depends
  * on simulated time.  The expander only needs three answers from the
@@ -40,7 +40,7 @@ class TraceSource
 };
 
 /** Adapts a pre-recorded TraceBuffer to the pull interface (the
- *  legacy single-stream path; never returns Dry). */
+ *  single-stream mode; never returns Dry). */
 class BufferTraceSource final : public TraceSource
 {
   public:

@@ -1,6 +1,6 @@
 /**
  * @file
- * Golden-result regression suite: five small deterministic
+ * Golden-result regression suite: seven small deterministic
  * configurations run end-to-end through runSimulation and their
  * SimResult JSON is byte-compared against the checked-in goldens in
  * tests/golden/.  The simulator is single-threaded per job and
@@ -64,8 +64,9 @@ smallWindow()
 }
 
 /** The locked-down matrix: baseline, I-side CGP, D-side combined,
- *  the throttled I+D arbiter point, and a small-window core on the
- *  smallest workload whose trace switches threads. */
+ *  the throttled I+D arbiter point, a small-window core on the
+ *  smallest workload whose trace switches threads, and two sampled
+ *  runs (one core, and a two-core server). */
 std::vector<GoldenCase>
 goldenCases()
 {
@@ -81,6 +82,18 @@ goldenCases()
         {"wiscprof_iplusd_arb.json", "wisc-prof",
          SimConfig::withIPlusD(DataPrefetchKind::Combined, true)},
         {"wiscprof_cgp4_smallwindow.json", "wisc-prof", smallWindow()},
+        // Sampled results: the warm prefix, window/drain/fast-forward
+        // loop and clock jumps, single-core and on a 2-core server.
+        {"wiscprof_cgp4_sampled.json", "wisc-prof",
+         SimConfig::withSampling(
+             SimConfig::withCgp(LayoutKind::PettisHansen, 4), 2500,
+             12500, 30000)},
+        {"wiscprof_cgp4_server2_sampled.json", "wisc-prof",
+         SimConfig::withSampling(
+             SimConfig::withServer(
+                 SimConfig::withCgp(LayoutKind::PettisHansen, 4), 2,
+                 8, 8),
+             2000, 10000, 10000)},
     };
 }
 

@@ -472,6 +472,33 @@ TEST(SampleCheckpointRoundTrip, MismatchedIdentityTriggersRewarm)
     EXPECT_EQ(dumpNormalized(fresh), dumpNormalized(rewarmed));
 }
 
+TEST(SampleCheckpointRoundTrip, RejectedCheckpointLeavesNoTrace)
+{
+    // The CGHC geometry is not part of the configuration label, so
+    // the smaller-CGHC point shares CGP_4's checkpoint key and the
+    // store hands it CGP_4's checkpoint.  Its CGHC section does not
+    // fit; restore must reject the whole checkpoint before touching
+    // any structure, so the run equals a store-less one.
+    const Workload w = proxyWorkload("ckpt-geom", 60, 60.0, 300'000);
+    MemStore store;
+    SimConfig donor =
+        sampledConfig(SimConfig::withCgp(LayoutKind::PettisHansen, 4));
+    donor.sample.checkpoints = store.hooks();
+    runSimulation(w, donor);
+    ASSERT_EQ(store.docs.size(), 1u);
+
+    const SimConfig small = sampledConfig(SimConfig::withCgpGeometry(
+        LayoutKind::PettisHansen, 4, CghcConfig::twoLevel1K16K()));
+    ASSERT_EQ(small.describe(), donor.describe());
+    const SimResult plain = runSimulation(w, small);
+
+    SimConfig fromStore = small;
+    fromStore.sample.checkpoints = store.hooks();
+    const SimResult rejected = runSimulation(w, fromStore);
+    EXPECT_FALSE(rejected.sampled.checkpointUsed);
+    EXPECT_EQ(dumpNormalized(plain), dumpNormalized(rejected));
+}
+
 TEST(SampleCheckpointStore, SealedStoreRoundTripsOnDisk)
 {
     const std::string dir = freshDir("store");

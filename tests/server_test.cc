@@ -1,10 +1,9 @@
 /**
  * @file
- * Tests of the multi-core DB server model (src/server): the N=1
- * single-stream golden contract against the legacy path, the
- * byte-compat shim over the deprecated trace/interleave merger,
- * scheduler fairness and starvation bounds, Zipf-mix and think-time
- * determinism, shared-L2 multi-owner guards, and the SimResult
+ * Tests of the multi-core DB server model (src/server): scheduler
+ * fairness and starvation bounds, Zipf-mix and think-time
+ * determinism, shared-L2 multi-owner guards, the drain path,
+ * admission mode's refusal of checkpoint hooks, and the SimResult
  * server-stats serialization round trip.
  */
 
@@ -13,17 +12,17 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <optional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "harness/report.hh"
 #include "harness/simulator.hh"
 #include "harness/workload.hh"
 #include "mem/hierarchy.hh"
-#include "server/compat.hh"
 #include "server/scheduler.hh"
 #include "server/stats.hh"
-#include "trace/interleave.hh"
-#include "trace/recorder.hh"
 #include "util/rng.hh"
 
 namespace cgp
@@ -42,123 +41,6 @@ smokeWorkload()
     s.trainInstrs = 60'000;
     s.testInstrs = 20'000;
     return WorkloadFactory::buildSpec(s);
-}
-
-/** The config exercised by the golden contract: every subsystem on
- *  (CGP, D-combined, shared arbiter). */
-SimConfig
-fullConfig()
-{
-    return SimConfig::withIPlusD(DataPrefetchKind::Combined, true);
-}
-
-// ---------------------------------------------------------------
-// N = 1 golden contract
-// ---------------------------------------------------------------
-
-TEST(ServerGolden, SingleStreamRunIsByteIdenticalToLegacyPath)
-{
-    const Workload w = smokeWorkload();
-
-    const SimConfig legacy_cfg = fullConfig();
-    const SimResult legacy = runSimulation(w, legacy_cfg);
-
-    SimConfig srv_cfg = fullConfig();
-    srv_cfg.server.enabled = true;
-    srv_cfg.server.singleStream = true;
-    srv_cfg.server.cores = 1;
-    srv_cfg.server.sessions = 1;
-    SimResult srv = runSimulation(w, srv_cfg);
-
-    ASSERT_TRUE(srv.serverEnabled);
-    // Normalize the fields that legitimately differ — the config
-    // label carries the +srv suffix and the server block only exists
-    // on the server run — then demand byte identity.
-    srv.config = legacy.config;
-    srv.serverEnabled = false;
-    srv.server = server::ServerStats{};
-    EXPECT_EQ(toJson(legacy).dump(2), toJson(srv).dump(2));
-    EXPECT_TRUE(legacy == srv);
-}
-
-// ---------------------------------------------------------------
-// Legacy-interleave shim
-// ---------------------------------------------------------------
-
-TraceBuffer
-queryTrace(FunctionId fid, unsigned works, std::uint32_t perWork)
-{
-    TraceBuffer buf;
-    TraceRecorder rec(buf);
-    TraceScope s(rec, fid);
-    for (unsigned i = 0; i < works; ++i) {
-        s.work(perWork);
-        s.branch(i % 2 == 0);
-    }
-    return buf;
-}
-
-TEST(ServerCompat, ShimReproducesLegacyInterleaveExactly)
-{
-    const TraceBuffer a = queryTrace(1, 40, 500);
-    const TraceBuffer b = queryTrace(2, 25, 900);
-    const TraceBuffer c = queryTrace(3, 60, 300);
-    const std::vector<const TraceBuffer *> threads = {&a, &b, &c};
-
-    // The reference: the deprecated merger with a live onSwitch
-    // callback recording the scheduler stub.
-    InterleaveConfig cfg;
-    cfg.quantumInstrs = 6000;
-    cfg.onSwitch = [](TraceRecorder &rec) {
-        TraceScope s(rec, 7);
-        s.work(60);
-        s.branch(true);
-        {
-            TraceScope save(rec, 8);
-            save.work(35);
-        }
-        s.work(20);
-    };
-    const TraceBuffer expected = interleaveTraces(threads, cfg);
-
-    // The shim: the same stub pre-recorded once, replayed per bind.
-    TraceBuffer stub;
-    {
-        TraceRecorder rec(stub);
-        TraceScope s(rec, 7);
-        s.work(60);
-        s.branch(true);
-        {
-            TraceScope save(rec, 8);
-            save.work(35);
-        }
-        s.work(20);
-    }
-    const TraceBuffer merged =
-        server::legacyMerge(threads, 6000, &stub);
-
-    ASSERT_EQ(expected.size(), merged.size());
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_EQ(expected.at(i).raw(), merged.at(i).raw())
-            << "event " << i;
-    }
-}
-
-TEST(ServerCompat, ShimWithoutStubMatchesLegacyWithoutOnSwitch)
-{
-    const TraceBuffer a = queryTrace(1, 10, 400);
-    const TraceBuffer b = queryTrace(2, 12, 350);
-    const std::vector<const TraceBuffer *> threads = {&a, &b};
-
-    InterleaveConfig cfg;
-    cfg.quantumInstrs = 2000;
-    const TraceBuffer expected = interleaveTraces(threads, cfg);
-    const TraceBuffer merged =
-        server::legacyMerge(threads, 2000, nullptr);
-
-    ASSERT_EQ(expected.size(), merged.size());
-    for (std::size_t i = 0; i < expected.size(); ++i)
-        EXPECT_EQ(expected.at(i).raw(), merged.at(i).raw());
 }
 
 // ---------------------------------------------------------------
@@ -416,6 +298,22 @@ TEST(ServerDrain, TotalQueriesFloorStopsTheRun)
     // Latency percentiles come from the served set only.
     EXPECT_GT(r.server.latencyP50, 0u);
     EXPECT_LE(r.server.latencyP50, r.server.latencyP99);
+}
+
+TEST(ServerSampling, AdmissionModeRejectsCheckpointHooks)
+{
+    // Scheduler and session state are not serialized, so a sampled
+    // server run must refuse a checkpoint store instead of silently
+    // running without it.
+    const Workload w = smokeWorkload();
+    SimConfig cfg = SimConfig::withSampling(
+        SimConfig::withServer(SimConfig::o5(), 2, 4, 3), 2000, 10000,
+        10000);
+    cfg.sample.checkpoints.load =
+        [](const std::string &) -> std::optional<Json> {
+        return std::nullopt;
+    };
+    EXPECT_THROW(runSimulation(w, cfg), std::invalid_argument);
 }
 
 TEST(ServerStats, SimResultServerBlockRoundTripsThroughJson)
