@@ -6,8 +6,9 @@
  *       Show every campaign (and the groups figures/ablations/all).
  *
  *   cgpbench run <campaign|group>... [options]
- *       Run campaigns on the parallel engine, print the cycle
- *       tables, and write one BENCH_<name>.json per campaign.
+ *       Run campaigns on the parallel engine, print each one's
+ *       tables and paper references (exp::printCampaign), and
+ *       write one BENCH_<name>.json per campaign.
  *         --threads N       worker threads (default: hardware)
  *         --dir D           parent directory for resumable run dirs
  *         --seed S          override the campaign seed
@@ -27,8 +28,9 @@
  *       corrupt artifacts are quarantined + re-run automatically.
  *
  *   cgpbench report <dir>
- *       Summarize a run directory without simulating anything,
- *       including any terminally failed jobs and their causes.
+ *       Summarize a run directory without simulating anything: job
+ *       counts, the same tables `run` prints (failed and pending
+ *       cells show "-"), and any failed jobs with their causes.
  *
  *   cgpbench verify <dir>
  *       Audit a run directory's artifact integrity (CRC seals,
@@ -44,11 +46,14 @@
  */
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
-#include <optional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -69,20 +74,16 @@ using namespace cgp::exp;
 struct Options
 {
     std::vector<std::string> names;
-    unsigned threads = 0;
     std::string dir;
     std::string artifactDir = ".";
     std::string artifactFile; // single campaign only
     bool seedSet = false;
     std::uint64_t seed = 0;
     bool fresh = false;
-    bool quiet = false;
-    unsigned retries = 0;
-    std::optional<FailurePolicy> onFail;
-    std::uint64_t watchdogCycles = 0;
-    double watchdogWall = 0.0;
-    double hangTimeout = 0.0;
     unsigned chaosCycles = 25;
+    /** --threads, --quiet, --retries, --on-fail, --watchdog-*,
+     *  --hang-timeout; runDir is set per campaign. */
+    EngineOptions engine;
 };
 
 int
@@ -107,6 +108,38 @@ usage()
     return 2;
 }
 
+/** Parse a decimal count: digits only (no sign, no trailing text),
+ *  in the range of @p out. */
+template <typename T>
+bool
+parseCount(const char *v, T &out)
+{
+    if (!std::isdigit(static_cast<unsigned char>(v[0])))
+        return false;
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long n = std::strtoull(v, &end, 10);
+    if (errno == ERANGE || *end != '\0' ||
+        n > std::numeric_limits<T>::max())
+        return false;
+    out = static_cast<T>(n);
+    return true;
+}
+
+/** Parse a non-negative, finite number of seconds. */
+bool
+parseSeconds(const char *v, double &out)
+{
+    if (!std::isdigit(static_cast<unsigned char>(v[0])) && v[0] != '.')
+        return false;
+    char *end = nullptr;
+    const double x = std::strtod(v, &end);
+    if (*end != '\0' || !std::isfinite(x))
+        return false;
+    out = x;
+    return true;
+}
+
 bool
 parseOptions(int argc, char **argv, int first, Options &opt)
 {
@@ -120,80 +153,72 @@ parseOptions(int argc, char **argv, int first, Options &opt)
             }
             return argv[++i];
         };
+        const auto bad = [&a](const char *v, const char *what) {
+            std::cerr << "cgpbench: " << a << " needs " << what
+                      << ", not '" << v << "'\n";
+            return false;
+        };
+        const auto count = [&](auto &field) {
+            const char *v = value();
+            return v != nullptr &&
+                (parseCount(v, field) ||
+                 bad(v, "an unsigned integer"));
+        };
+        const auto seconds = [&](double &field) {
+            const char *v = value();
+            return v != nullptr &&
+                (parseSeconds(v, field) ||
+                 bad(v, "a non-negative number of seconds"));
+        };
+        const auto text = [&](std::string &field) {
+            const char *v = value();
+            if (v != nullptr)
+                field = v;
+            return v != nullptr;
+        };
+        bool ok = true;
         if (a == "--threads") {
-            const char *v = value();
-            if (!v)
-                return false;
-            opt.threads =
-                static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+            ok = count(opt.engine.threads);
         } else if (a == "--dir") {
-            const char *v = value();
-            if (!v)
-                return false;
-            opt.dir = v;
+            ok = text(opt.dir);
         } else if (a == "--seed") {
-            const char *v = value();
-            if (!v)
-                return false;
-            opt.seedSet = true;
-            opt.seed = std::strtoull(v, nullptr, 10);
+            ok = opt.seedSet = count(opt.seed);
         } else if (a == "--artifact-dir") {
-            const char *v = value();
-            if (!v)
-                return false;
-            opt.artifactDir = v;
+            ok = text(opt.artifactDir);
         } else if (a == "--artifact") {
-            const char *v = value();
-            if (!v)
-                return false;
-            opt.artifactFile = v;
+            ok = text(opt.artifactFile);
         } else if (a == "--retries") {
-            const char *v = value();
-            if (!v)
-                return false;
-            opt.retries =
-                static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+            ok = count(opt.engine.retries);
         } else if (a == "--on-fail") {
-            const char *v = value();
-            if (!v)
-                return false;
+            std::string v;
+            ok = text(v);
             try {
-                opt.onFail = failurePolicyFromString(v);
+                if (ok)
+                    opt.engine.onFail = failurePolicyFromString(v);
             } catch (const std::invalid_argument &e) {
                 std::cerr << "cgpbench: " << e.what() << "\n";
-                return false;
+                ok = false;
             }
         } else if (a == "--watchdog-cycles") {
-            const char *v = value();
-            if (!v)
-                return false;
-            opt.watchdogCycles = std::strtoull(v, nullptr, 10);
+            ok = count(opt.engine.watchdogCycles);
         } else if (a == "--watchdog-wall") {
-            const char *v = value();
-            if (!v)
-                return false;
-            opt.watchdogWall = std::strtod(v, nullptr);
+            ok = seconds(opt.engine.watchdogWallSeconds);
         } else if (a == "--hang-timeout") {
-            const char *v = value();
-            if (!v)
-                return false;
-            opt.hangTimeout = std::strtod(v, nullptr);
+            ok = seconds(opt.engine.hangTimeoutSeconds);
         } else if (a == "--cycles") {
-            const char *v = value();
-            if (!v)
-                return false;
-            opt.chaosCycles =
-                static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+            ok = count(opt.chaosCycles);
         } else if (a == "--fresh") {
             opt.fresh = true;
         } else if (a == "--quiet") {
-            opt.quiet = true;
+            opt.engine.verbose = false;
         } else if (!a.empty() && a[0] == '-') {
             std::cerr << "cgpbench: unknown option " << a << "\n";
-            return false;
+            ok = false;
         } else {
             opt.names.push_back(a);
         }
+        if (!ok)
+            return false;
     }
     return true;
 }
@@ -227,26 +252,13 @@ cmdList()
     return 0;
 }
 
-EngineOptions
-engineOptions(const Options &opt)
-{
-    EngineOptions eopt;
-    eopt.threads = opt.threads;
-    eopt.verbose = !opt.quiet;
-    eopt.retries = opt.retries;
-    eopt.onFail = opt.onFail;
-    eopt.watchdogCycles = opt.watchdogCycles;
-    eopt.watchdogWallSeconds = opt.watchdogWall;
-    eopt.hangTimeoutSeconds = opt.hangTimeout;
-    return eopt;
-}
-
 void
 printFailures(const CampaignRun &run)
 {
     if (run.failures.empty())
         return;
-    TablePrinter t("Failed jobs (degraded campaign)");
+    std::cout << "\n";
+    TablePrinter t("Failed jobs");
     t.setHeader({"job", "workload", "config", "kind", "attempts",
                  "error"});
     for (const JobFailure &f : run.failures) {
@@ -256,25 +268,19 @@ printFailures(const CampaignRun &run)
                   std::to_string(f.attempts), f.message});
     }
     t.print(std::cout);
-    std::cout << "\n";
 }
 
-/** Run one campaign and emit its tables + artifact; returns the
- *  number of terminally failed jobs. */
+/** Run one campaign in @p runDir (empty = in memory) and emit its
+ *  tables + artifact; returns the number of terminally failed jobs. */
 std::size_t
 runOne(const CampaignSpec &spec, PaperWorkloadBank &bank,
-       const Options &opt)
+       const Options &opt, const std::string &runDir)
 {
-    EngineOptions eopt = engineOptions(opt);
-    if (!opt.dir.empty()) {
-        eopt.runDir = opt.dir + "/" + spec.name;
-        if (opt.fresh)
-            std::filesystem::remove_all(eopt.runDir);
-    }
-
+    EngineOptions eopt = opt.engine;
+    eopt.runDir = runDir;
     const CampaignRun run = runCampaign(spec, bank, eopt);
 
-    printCycleTables(run, std::cout);
+    printCampaign(run, spec.report, std::cout);
     printFailures(run);
     const std::string artifact = !opt.artifactFile.empty()
         ? opt.artifactFile
@@ -316,7 +322,11 @@ cmdRun(const Options &opt)
         CampaignSpec spec = paperCampaign(name);
         if (opt.seedSet)
             spec.seed = opt.seed;
-        failed += runOne(spec, bank, opt);
+        const std::string runDir =
+            opt.dir.empty() ? "" : opt.dir + "/" + name;
+        if (opt.fresh && !runDir.empty())
+            std::filesystem::remove_all(runDir);
+        failed += runOne(spec, bank, opt, runDir);
     }
     // A degraded campaign completed but is not healthy; make the
     // exit code say so for CI.
@@ -369,21 +379,20 @@ cmdResume(const Options &opt)
     if (opt.seedSet)
         spec.seed = opt.seed;
 
-    const std::string artifact = opt.artifactDir + "/BENCH_" +
-        campaign + ".json";
-
     PaperWorkloadBank bank;
-    EngineOptions eopt = engineOptions(opt);
-    eopt.runDir = dir;
-    const CampaignRun run = runCampaign(spec, bank, eopt);
-    printCycleTables(run, std::cout);
-    printFailures(run);
-    writeBenchJson(artifact, run);
-    std::cout << "\n[" << spec.name << "] " << run.executed
-              << " jobs run, " << run.skipped << " resumed, "
-              << run.failures.size() << " failed; artifact "
-              << artifact << "\n";
-    return run.failures.empty() ? 0 : 3;
+    return runOne(spec, bank, opt, dir) == 0 ? 0 : 3;
+}
+
+/** The registry's report layout for @p campaign; the plain one for
+ *  a run dir of a campaign the registry does not know. */
+ReportSpec
+reportOf(const std::string &campaign)
+{
+    try {
+        return paperCampaign(campaign).report;
+    } catch (const std::invalid_argument &) {
+        return {};
+    }
 }
 
 int
@@ -412,166 +421,11 @@ cmdReport(const Options &opt)
               << "Jobs:        " << run.results.size() << "/"
               << run.jobs.size() << " complete, "
               << run.failures.size() << " failed\n\n";
-
-    TablePrinter t("Job status");
-    t.setHeader({"job", "workload", "config", "status", "cycles"});
-    for (const JobSpec &j : run.jobs) {
-        const auto it = run.results.find(j.index);
-        const bool failed =
-            run.failures.find(j.index) != run.failures.end();
-        const char *status = it != run.results.end() ? "done"
-            : failed                                 ? "failed"
-                                                     : "pending";
-        t.addRow({std::to_string(j.index), j.workload, j.label,
-                  status,
-                  it == run.results.end()
-                      ? "-"
-                      : TablePrinter::num(it->second.cycles)});
-    }
-    t.print(std::cout);
-
-    // Server-model campaigns get a queueing summary and a per-core
-    // breakdown; plain campaigns print only the job rows above.
-    bool any_server = false;
-    for (const auto &[index, r] : run.results) {
-        if (r.serverEnabled) {
-            any_server = true;
-            break;
-        }
-    }
-    if (any_server) {
-        std::cout << "\n";
-        TablePrinter s("Server summary");
-        s.setHeader({"job", "workload", "config", "cores",
-                     "sessions", "queries", "q/Mcycle",
-                     "q/sec @1GHz", "p50", "p95", "p99"});
-        for (const JobSpec &j : run.jobs) {
-            const auto it = run.results.find(j.index);
-            if (it == run.results.end() ||
-                !it->second.serverEnabled)
-                continue;
-            const auto &srv = it->second.server;
-            s.addRow({std::to_string(j.index), j.workload, j.label,
-                      TablePrinter::num(srv.cores),
-                      TablePrinter::num(srv.sessions),
-                      TablePrinter::num(srv.queriesServed),
-                      TablePrinter::fixed(srv.queriesPerMcycle(), 2),
-                      TablePrinter::fixed(
-                          srv.queriesPerMcycle() * 1000.0, 0),
-                      TablePrinter::num(srv.latencyP50),
-                      TablePrinter::num(srv.latencyP95),
-                      TablePrinter::num(srv.latencyP99)});
-        }
-        s.print(std::cout);
-
-        std::cout << "\n";
-        TablePrinter pc("Per-core breakdown");
-        pc.setHeader({"job", "core", "util", "instrs", "I$ misses",
-                      "D$ misses", "bus lines", "port wait",
-                      "queries", "binds"});
-        for (const JobSpec &j : run.jobs) {
-            const auto it = run.results.find(j.index);
-            if (it == run.results.end() ||
-                !it->second.serverEnabled)
-                continue;
-            const auto &srv = it->second.server;
-            for (std::size_t c = 0; c < srv.perCore.size(); ++c) {
-                const auto &core = srv.perCore[c];
-                pc.addRow({std::to_string(j.index),
-                           std::to_string(c),
-                           TablePrinter::percent(core.utilization()),
-                           TablePrinter::num(core.instrs),
-                           TablePrinter::num(core.icacheMisses),
-                           TablePrinter::num(core.dcacheMisses),
-                           TablePrinter::num(core.busLines),
-                           TablePrinter::num(core.portWaitCycles),
-                           TablePrinter::num(core.queries),
-                           TablePrinter::num(core.binds)});
-            }
-            pc.addRule();
-        }
-        pc.print(std::cout);
-    }
-
-    // Sampled campaigns get an estimate table: mean [95% CI] per
-    // metric, plus the cycle-loop speedup against the full-detail
-    // job of the same workload+config when the run contains one.
-    bool any_sampled = false;
-    for (const auto &[index, r] : run.results) {
-        if (r.sampledEnabled) {
-            any_sampled = true;
-            break;
-        }
-    }
-    if (any_sampled) {
-        const auto ci = [](const sample::SampledEstimate &e,
-                           int digits) {
-            return TablePrinter::fixed(e.mean, digits) + " [" +
-                TablePrinter::fixed(e.ciLow, digits) + ", " +
-                TablePrinter::fixed(e.ciHigh, digits) + "]";
-        };
-        // Full-detail job for (workload, label-before-"+smp").
-        const auto fullDetail =
-            [&run](const JobSpec &job) -> const SimResult * {
-            const std::size_t pos = job.label.find("+smp");
-            const std::string base = pos == std::string::npos
-                ? job.label
-                : job.label.substr(0, pos);
-            for (const JobSpec &j : run.jobs) {
-                const auto it = run.results.find(j.index);
-                if (it == run.results.end() ||
-                    it->second.sampledEnabled)
-                    continue;
-                if (j.workload == job.workload && j.label == base)
-                    return &it->second;
-            }
-            return nullptr;
-        };
-        std::cout << "\n";
-        TablePrinter sm("Sampled estimates (mean [95% CI])");
-        sm.setHeader({"job", "workload", "config", "windows",
-                      "CPI", "L1-I miss", "L1-D miss",
-                      "detailed cyc", "speedup"});
-        for (const JobSpec &j : run.jobs) {
-            const auto it = run.results.find(j.index);
-            if (it == run.results.end() ||
-                !it->second.sampledEnabled)
-                continue;
-            const auto &smp = it->second.sampled;
-            const SimResult *base = fullDetail(j);
-            const std::string speedup = base == nullptr ||
-                    smp.detailedCycles == 0
-                ? "-"
-                : TablePrinter::fixed(
-                      static_cast<double>(base->cycles) /
-                          static_cast<double>(smp.detailedCycles),
-                      1) +
-                    "x";
-            sm.addRow({std::to_string(j.index), j.workload, j.label,
-                       TablePrinter::num(smp.windows),
-                       ci(smp.cpi, 3), ci(smp.l1iMissRate, 4),
-                       ci(smp.l1dMissRate, 4),
-                       TablePrinter::num(smp.detailedCycles),
-                       speedup});
-        }
-        sm.print(std::cout);
-    }
-
-    if (!run.failures.empty()) {
-        std::cout << "\n";
-        TablePrinter f("Failed jobs");
-        f.setHeader({"job", "kind", "attempts", "error"});
-        for (const auto &[index, fail] : run.failures) {
-            f.addRow({std::to_string(index), fail.kind,
-                      std::to_string(fail.attempts),
-                      fail.message});
-        }
-        f.print(std::cout);
-    }
-    if (run.results.size() < run.jobs.size()) {
-        std::cout << "\nResume with: cgpbench resume " << dir
-                  << "\n";
-    }
+    const CampaignRun full = run.toRun();
+    printCampaign(full, reportOf(run.campaign), std::cout);
+    printFailures(full);
+    if (run.results.size() < run.jobs.size())
+        std::cout << "\nResume with: cgpbench resume " << dir << "\n";
     return 0;
 }
 
@@ -643,10 +497,10 @@ cmdChaos(const Options &opt)
 
     ChaosLoopConfig config;
     config.cycles = opt.chaosCycles;
-    config.threads = opt.threads != 0 ? opt.threads : 2;
+    config.threads = opt.engine.threads != 0 ? opt.engine.threads : 2;
     config.dir = opt.dir + "/" + spec.name + "-chaos";
-    config.retries = opt.retries != 0 ? opt.retries : 2;
-    config.verbose = !opt.quiet;
+    config.retries = opt.engine.retries != 0 ? opt.engine.retries : 2;
+    config.verbose = opt.engine.verbose;
     if (opt.seedSet)
         config.seed = opt.seed;
 

@@ -9,7 +9,8 @@
 #include <iostream>
 
 #include "codegen/profile.hh"
-#include "common.hh"
+#include "harness/workload.hh"
+#include "util/table.hh"
 
 int
 main()

@@ -9,8 +9,11 @@
 #include <iostream>
 #include <unordered_set>
 
-#include "common.hh"
+#include "codegen/layout.hh"
+#include "harness/simulator.hh"
+#include "harness/workload.hh"
 #include "trace/expand.hh"
+#include "util/table.hh"
 
 int
 main()

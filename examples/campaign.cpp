@@ -3,13 +3,12 @@
  * Defining and running an experiment campaign programmatically:
  * declare a spec with a config axis, run it on the parallel engine
  * with a resumable run directory, and read results back by
- * (workload, label).
- *
- * Run it twice with the same CGP_RUN_DIR to see resume in action —
- * the second invocation loads every job instead of simulating.
+ * (workload, label).  The campaign runs twice on the same run
+ * directory to show resume in action: the second pass loads every
+ * job instead of simulating.
  */
 
-#include <cstdlib>
+#include <filesystem>
 #include <iostream>
 
 #include "exp/artifact.hh"
@@ -53,16 +52,21 @@ main()
     // Per-job progress lines land in completion order, which varies
     // with scheduling; examples keep stdout byte-deterministic.
     opt.verbose = false;
-    if (const char *dir = std::getenv("CGP_RUN_DIR"))
-        opt.runDir = std::string(dir) + "/example";
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() / "cgp-example-campaign";
+    std::filesystem::remove_all(dir);
+    opt.runDir = dir.string();
 
-    const exp::CampaignRun run =
-        exp::runCampaign(spec, provider, opt);
+    exp::CampaignRun run;
+    for (const char *pass : {"first", "second"}) {
+        run = exp::runCampaign(spec, provider, opt);
+        std::cout << pass << " pass: executed " << run.executed
+                  << ", resumed " << run.skipped << "\n";
+    }
+    std::filesystem::remove_all(dir);
 
-    exp::printCycleTables(run, std::cout);
-    std::cout << "\nexecuted " << run.executed << ", resumed "
-              << run.skipped << ", threads " << run.threadsUsed
-              << "\n";
+    std::cout << "\n";
+    exp::printCampaign(run, spec.report, std::cout);
 
     // Individual results are addressable by (workload, label).
     const SimResult &best = run.at("proxy", "CGP_4");

@@ -1,7 +1,7 @@
 /**
  * @file
  * Artifact layer: machine-readable BENCH_*.json files and the
- * paper-style cycle tables, both derived from a CampaignRun.
+ * paper-style tables, both derived from a CampaignRun.
  *
  * The BENCH json carries the canonical SimResult serialization plus
  * derived metrics (CPI, miss rates, prefetch usefulness) and this
@@ -14,6 +14,7 @@
 #ifndef CGP_EXP_ARTIFACT_HH
 #define CGP_EXP_ARTIFACT_HH
 
+#include <optional>
 #include <ostream>
 #include <string>
 
@@ -31,20 +32,32 @@ void writeBenchJson(const std::string &path,
                     const CampaignRun &run);
 
 /**
- * Print the campaign's absolute-cycles table and the normalized view
- * (config @p normIndex = 1.00, smaller is faster) the paper's bar
- * charts use.
+ * Print a finished campaign the way `cgpbench run` and `cgpbench
+ * report` show it, as a function of its results alone:
+ *
+ *  - the absolute-cycles table and the normalized view (config
+ *    @p report.normLabel = 1.00, smaller is faster) the paper's bar
+ *    charts use;
+ *  - the server tables when any result carries a server block, and
+ *    the sampled accuracy/speedup tables when any carries a sampled
+ *    block (each sampled job is checked against the full-detail job
+ *    its "+smp" label was derived from, when the run has one);
+ *  - the figure tables @p report selects, then its geomean
+ *    paper-reference rows and its note.
+ *
+ * Failed and pending jobs have no result: their cells print "-".
  */
-void printCycleTables(const CampaignRun &run, std::ostream &os,
-                      std::size_t normIndex = 0);
+void printCampaign(const CampaignRun &run, const ReportSpec &report,
+                   std::ostream &os);
 
 /**
  * Geometric-mean speedup of config @p labelB over @p labelA across
- * the campaign's workloads.
+ * the campaign's workloads; empty if either lacks a result on any
+ * workload.
  */
-double geomeanSpeedup(const CampaignRun &run,
-                      const std::string &labelA,
-                      const std::string &labelB);
+std::optional<double> geomeanSpeedup(const CampaignRun &run,
+                                     const std::string &labelA,
+                                     const std::string &labelB);
 
 } // namespace cgp::exp
 

@@ -2,11 +2,11 @@
  * @file
  * Declarative experiment campaigns.
  *
- * A CampaignSpec turns the ad-hoc (workload x config) loops of the
- * bench binaries into data: a list of workload names, a base
- * SimConfig, and named *axes* whose labeled points mutate the base
- * config.  Axes combine cartesian (every combination, first axis
- * slowest-varying) or zipped (element-wise, all axes equal length).
+ * A CampaignSpec turns a (workload x config) experiment loop into
+ * data: a list of workload names, a base SimConfig, and named
+ * *axes* whose labeled points mutate the base config.  Axes
+ * combine cartesian (every combination, first axis slowest-varying)
+ * or zipped (element-wise, all axes equal length).
  * Expansion yields a flat, stable job list — workload-major, config
  * order as swept — where every job carries its own derived seed, so
  * a campaign's job list is a pure function of its spec regardless of
@@ -61,6 +61,43 @@ struct ExpandedConfig
     std::string label;
 };
 
+/** The figure tables a campaign's report can select (see
+ *  exp/artifact printCampaign for what each one prints). */
+enum class FigureTable
+{
+    CallSpacing,     ///< instructions between calls (fig6)
+    IMisses,         ///< L1-I misses vs the first config (fig7)
+    PrefetchClasses, ///< pref / delayed / useless per config (fig8)
+    CgpSources,      ///< CGP prefetches split NL vs CGHC (fig9)
+    Cpu2000,         ///< speedups over the first config (fig10)
+    DataSide,        ///< L1-D misses, D-prefetch classes (figD)
+    Traffic,         ///< prefetch traffic, arbiter counts (figID)
+};
+
+/** Paper reference: geomean speedup of labelB over labelA. */
+struct GeomeanRef
+{
+    std::string labelA;
+    std::string labelB;
+    double paper = 0.0;
+};
+
+/**
+ * How a campaign's results are rendered: per-campaign constants of
+ * the registry, outside the fingerprint.  Holds only what cannot be
+ * derived from the results.
+ */
+struct ReportSpec
+{
+    /** Normalized-cycles column; empty = the first config. */
+    std::string normLabel;
+    int normDigits = 3;
+    std::vector<FigureTable> tables;
+    std::vector<GeomeanRef> geomeans;
+    /** Paper-reference or expectation line printed last. */
+    std::string note;
+};
+
 struct CampaignSpec
 {
     /** Key for run directories and BENCH_<name>.json artifacts. */
@@ -95,6 +132,9 @@ struct CampaignSpec
      * run directory can be resumed under a different policy.
      */
     FailurePolicy policy = FailurePolicy::Strict;
+
+    /** Tables and paper references; not part of the fingerprint. */
+    ReportSpec report;
 };
 
 /** One schedulable unit: a single runSimulation() point. */

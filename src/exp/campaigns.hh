@@ -2,8 +2,8 @@
  * @file
  * The paper's experiment campaigns as a registry: every figure and
  * ablation of the reproduction, expressed as CampaignSpecs over the
- * shared workload bank, so `cgpbench run figures` (or any bench
- * binary) reproduces the paper through one engine.
+ * shared workload bank, so `cgpbench run figures` reproduces the
+ * paper through one engine and one renderer (exp::printCampaign).
  */
 
 #ifndef CGP_EXP_CAMPAIGNS_HH

@@ -115,13 +115,18 @@ struct CampaignRun
     /** Corrupt artifacts quarantined while opening/resuming. */
     std::size_t quarantined = 0;
 
+    /** Jobs never run (a partial run directory read back by
+     *  LoadedRun::toRun), by job index. */
+    std::vector<std::size_t> pending;
+
     /** Distinct workload names in first-appearance order. */
     std::vector<std::string> workloadNames() const;
 
     /** Distinct config labels in first-appearance order. */
     std::vector<std::string> configLabels() const;
 
-    /** Result for (workload, label); null if absent. */
+    /** Result for (workload, label); null if absent, failed or
+     *  pending — those jobs' zeroed SimResults are not results. */
     const SimResult *find(const std::string &workload,
                           const std::string &label) const;
 

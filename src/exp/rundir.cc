@@ -380,6 +380,10 @@ loadRunDir(const std::string &path)
     for (const Json &e : m.at("jobs").items()) {
         JobSpec j;
         j.index = e.at("index").asUint();
+        if (j.index != run.jobs.size()) {
+            throw std::runtime_error(path +
+                                     ": manifest jobs out of order");
+        }
         j.workload = e.at("workload").asString();
         j.label = e.at("config").asString();
         j.seed = e.at("seed").asUint();
@@ -405,6 +409,28 @@ loadRunDir(const std::string &path)
             // Incomplete job: reported as missing.
         }
         run.jobs.push_back(std::move(j));
+    }
+    return run;
+}
+
+CampaignRun
+LoadedRun::toRun() const
+{
+    CampaignRun run;
+    run.name = campaign;
+    run.title = title;
+    run.fingerprint = fingerprint;
+    run.seed = seed;
+    run.jobs = jobs;
+    run.results.resize(jobs.size());
+    for (const JobSpec &j : jobs) {
+        if (const auto it = results.find(j.index); it != results.end())
+            run.results[j.index] = it->second;
+        else if (const auto f = failures.find(j.index);
+                 f != failures.end())
+            run.failures.push_back(f->second);
+        else
+            run.pending.push_back(j.index);
     }
     return run;
 }

@@ -56,6 +56,7 @@
 #include <vector>
 
 #include "exp/campaign.hh"
+#include "exp/engine.hh"
 #include "exp/scheduler.hh"
 #include "harness/simulator.hh"
 
@@ -161,6 +162,10 @@ struct LoadedRun
     std::map<std::size_t, SimResult> results;
     /** Jobs the manifest records as terminally failed. */
     std::map<std::size_t, JobFailure> failures;
+
+    /** The same run as a CampaignRun, for printCampaign; jobs with
+     *  neither a result nor a failure become pending. */
+    CampaignRun toRun() const;
 };
 
 /**

@@ -2,10 +2,9 @@
  * @file
  * Reporting of simulation results: a one-screen human-readable
  * summary of a SimResult, side-by-side comparisons of several
- * results over the same workload (the building block of the
- * per-figure benches, exposed for downstream users), and the
- * canonical machine-readable JSON form shared by the experiment
- * engine's run directories and BENCH_*.json artifacts.
+ * results over the same workload (exposed for downstream users),
+ * and the canonical machine-readable JSON form shared by the
+ * experiment engine's run directories and BENCH_*.json artifacts.
  */
 
 #ifndef CGP_HARNESS_REPORT_HH

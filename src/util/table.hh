@@ -1,7 +1,7 @@
 /**
  * @file
- * Fixed-width text table printer used by the benchmark binaries to
- * emit paper-style rows (one table/figure per binary).
+ * Fixed-width text table printer for the paper-style tables
+ * (exp::printCampaign, the bench programs, the examples).
  */
 
 #ifndef CGP_UTIL_TABLE_HH

@@ -17,6 +17,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "exp/artifact.hh"
 #include "exp/campaign.hh"
 #include "exp/campaigns.hh"
 #include "exp/engine.hh"
@@ -24,6 +25,7 @@
 #include "exp/scheduler.hh"
 #include "fault/fault.hh"
 #include "harness/workload.hh"
+#include "util/table.hh"
 #include "util/watchdog.hh"
 
 namespace cgp::exp
@@ -561,6 +563,16 @@ TEST_F(EngineTest, LoadRunDirReportsCompletion)
 
     EXPECT_THROW(loadRunDir(dir + "-nonexistent"),
                  std::runtime_error);
+
+    // Job indices must follow manifest order: toRun() and the
+    // failure table index results by them.
+    const fs::path manifest = fs::path(dir) / "manifest.json";
+    std::string text = slurp(manifest);
+    const std::size_t at = text.find("\"index\": 0");
+    ASSERT_NE(at, std::string::npos);
+    text.replace(at, 10, "\"index\": 9");
+    std::ofstream(manifest, std::ios::binary | std::ios::trunc) << text;
+    EXPECT_THROW(loadRunDir(dir), std::runtime_error);
     fs::remove_all(dir);
 }
 
@@ -874,6 +886,173 @@ TEST(Campaign, ArbiterSweepCoversTheKnobCube)
     EXPECT_NE(std::find(ablations.begin(), ablations.end(),
                         "arbiter-sweep"),
               ablations.end());
+}
+
+/** A non-zero result for @p job, with the server and sampled
+ *  blocks its config enables; no simulation. */
+SimResult
+syntheticResult(const JobSpec &job)
+{
+    const std::uint64_t k = job.index + 1;
+    SimResult r;
+    r.workload = job.workload;
+    r.config = job.label;
+    r.cycles = 100'000 + 977 * k;
+    r.instrs = 150'000 + 31 * k;
+    r.icacheAccesses = 40'000 + k;
+    r.icacheMisses = 900 + 7 * k;
+    r.dcacheAccesses = 30'000 + k;
+    r.dcacheMisses = 700 + 5 * k;
+    r.l2Misses = 80 + k;
+    r.nl = {300 + k, 100 + k, 40, 160};
+    r.cghc = {90 + k, 50, 20 + k, 20};
+    r.dpf = {60 + k, 30, 10, 20 + k};
+    r.squashedPrefetches = 3 * k;
+    r.dSquashedPrefetches = 2 * k;
+    r.arbNl = {290, 10, 5, k};
+    r.busLines = 1'500 + k;
+    r.instrsPerCall = 40.0 + static_cast<double>(k);
+    if (job.config.server.enabled) {
+        r.serverEnabled = true;
+        r.server = {2, 8, r.cycles, 16 + k, 4, 2'000 + k, 5'000 + k,
+                    9'000 + k, 40, {}};
+        r.server.perCore.assign(
+            2, {r.cycles, r.instrs / 2, 100, 1, 2, 3, 4, 5, 6, 8, 2});
+    }
+    if (job.config.sample.enabled) {
+        r.sampledEnabled = true;
+        r.sampled.windows = 12;
+        r.sampled.detailedCycles = r.cycles / 8;
+        r.sampled.cpi = {12, 0.7, 0.01, 0.6, 0.8};
+        r.sampled.l1iMissRate = {12, 0.02, 0.001, 0.01, 0.03};
+        r.sampled.l1dMissRate = {12, 0.03, 0.001, 0.02, 0.04};
+    }
+    return r;
+}
+
+CampaignRun
+syntheticRun(const CampaignSpec &spec)
+{
+    CampaignRun run;
+    run.name = spec.name;
+    run.title = spec.title;
+    run.jobs = expandJobs(spec);
+    for (const JobSpec &j : run.jobs)
+        run.results.push_back(syntheticResult(j));
+    return run;
+}
+
+TEST(CampaignRun, FailedAndPendingJobsHaveNoResult)
+{
+    CampaignSpec s;
+    s.name = "t";
+    s.title = "degraded";
+    s.workloads = {"w1", "w2"};
+    s.explicitConfigs = {SimConfig::o5(), SimConfig::o5Om()};
+    s.report.tables = {FigureTable::IMisses, FigureTable::Cpu2000};
+    s.report.geomeans = {{"O5", "O5+OM", 1.11}};
+    CampaignRun run = syntheticRun(s);
+    JobFailure f;
+    f.index = 3; // w2|O5+OM
+    f.kind = "timeout";
+    run.failures.push_back(f);
+    run.results[3] = SimResult{}; // what a failed job carries
+
+    EXPECT_NE(run.find("w2", "O5"), nullptr);
+    EXPECT_EQ(run.find("w2", "O5+OM"), nullptr);
+    EXPECT_THROW(run.at("w2", "O5+OM"), std::out_of_range);
+    EXPECT_FALSE(geomeanSpeedup(run, "O5", "O5+OM").has_value());
+    EXPECT_TRUE(geomeanSpeedup(run, "O5", "O5").has_value());
+
+    std::ostringstream os;
+    printCampaign(run, s.report, os);
+    const std::string text = os.str();
+    EXPECT_EQ(text.find("inf"), std::string::npos) << text;
+    EXPECT_EQ(text.find("nan"), std::string::npos) << text;
+    EXPECT_NE(text.find(" - "), std::string::npos) << text;
+
+    // A run dir read back with a job neither done nor failed: the
+    // job is pending and has no result either.
+    LoadedRun loaded;
+    loaded.campaign = s.name;
+    loaded.jobs = run.jobs;
+    loaded.results = {{0, run.results[0]}, {1, run.results[1]}};
+    loaded.failures = {{3, f}};
+    const CampaignRun back = loaded.toRun();
+    EXPECT_EQ(back.pending, std::vector<std::size_t>{2});
+    ASSERT_EQ(back.failures.size(), 1u);
+    EXPECT_EQ(back.find("w2", "O5"), nullptr);
+    EXPECT_EQ(back.find("w1", "O5+OM"), &back.results[1]);
+}
+
+TEST(CampaignReport, EveryRegisteredCampaignRenders)
+{
+    for (const std::string &name : campaignNames()) {
+        const CampaignSpec spec = paperCampaign(name);
+        const CampaignRun run = syntheticRun(spec);
+        const std::vector<std::string> labels = run.configLabels();
+        const auto known = [&labels](const std::string &l) {
+            return std::find(labels.begin(), labels.end(), l) !=
+                labels.end();
+        };
+        const ReportSpec &report = spec.report;
+        EXPECT_TRUE(report.normLabel.empty() ||
+                    known(report.normLabel))
+            << name << ": " << report.normLabel;
+        for (const GeomeanRef &g : report.geomeans) {
+            EXPECT_TRUE(known(g.labelA)) << name << ": " << g.labelA;
+            EXPECT_TRUE(known(g.labelB)) << name << ": " << g.labelB;
+        }
+
+        std::ostringstream os;
+        ASSERT_NO_THROW(printCampaign(run, report, os)) << name;
+        const std::string text = os.str();
+        EXPECT_NE(text.find(spec.title + " — execution cycles"),
+                  std::string::npos)
+            << name;
+        for (const GeomeanRef &g : report.geomeans) {
+            EXPECT_NE(text.find("~" + TablePrinter::fixed(g.paper, 2)),
+                      std::string::npos)
+                << name;
+        }
+        EXPECT_NE(text.find(report.note), std::string::npos) << name;
+        EXPECT_EQ(text.find("nan"), std::string::npos) << name;
+        const auto any = [&run](bool SimResult::*flag) {
+            return std::any_of(run.results.begin(), run.results.end(),
+                               [flag](const SimResult &r) {
+                                   return r.*flag;
+                               });
+        };
+        EXPECT_EQ(text.find("Server — ") != std::string::npos,
+                  any(&SimResult::serverEnabled))
+            << name;
+        EXPECT_EQ(text.find("Sampled speedup") != std::string::npos,
+                  any(&SimResult::sampledEnabled))
+            << name;
+    }
+}
+
+TEST(CampaignReport, RunAndReportRenderTheSameTables)
+{
+    const fs::path dir =
+        fs::temp_directory_path() / "cgp-exp-test-report";
+    fs::remove_all(dir);
+    const CampaignSpec spec = paperCampaign("smoke");
+    PaperWorkloadBank bank;
+    EngineOptions opt;
+    opt.threads = 2;
+    opt.verbose = false;
+    opt.runDir = dir.string();
+    const CampaignRun run = runCampaign(spec, bank, opt);
+
+    std::ostringstream fromRun, fromDir;
+    printCampaign(run, spec.report, fromRun);
+    printCampaign(loadRunDir(dir.string()).toRun(), spec.report,
+                  fromDir);
+    EXPECT_EQ(fromRun.str(), fromDir.str());
+    EXPECT_NE(fromRun.str().find("execution cycles"),
+              std::string::npos);
+    fs::remove_all(dir);
 }
 
 } // namespace
