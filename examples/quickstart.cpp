@@ -30,8 +30,7 @@ main()
 
     std::cout << "\n";
     writeComparison({base, cgp}, std::cout);
-    std::cout << "\nDetailed CGP run:\n";
-    writeReport(cgp, std::cout);
+    std::cout << "\nDetailed CGP run:\n" << toJson(cgp).dump(2) << "\n";
     std::cout << "\n  speedup: "
               << static_cast<double>(base.cycles) /
                      static_cast<double>(cgp.cycles)

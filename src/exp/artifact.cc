@@ -34,15 +34,6 @@ fixedRatio(std::uint64_t num, std::uint64_t den, int digits)
                     : TablePrinter::fixed(ratio(num, den), digits);
 }
 
-void
-accumulate(PrefetchBreakdown &sum, const PrefetchBreakdown &p)
-{
-    sum.issued += p.issued;
-    sum.prefHits += p.prefHits;
-    sum.delayedHits += p.delayedHits;
-    sum.useless += p.useless;
-}
-
 /** The results of @p label on every workload; empty if any is
  *  missing (a sum over part of the workloads is not the figure). */
 std::vector<const SimResult *>
@@ -334,7 +325,7 @@ printPrefetchClasses(const CampaignRun &run, std::ostream &os)
         PrefetchBreakdown sum;
         std::uint64_t bus = 0;
         for (const SimResult *r : col) {
-            accumulate(sum, r->totalPrefetch());
+            sum += r->totalPrefetch();
             bus += r->busLines;
         }
         if (sum.issued == 0) // a no-prefetch baseline
@@ -408,8 +399,8 @@ printCgpSources(const CampaignRun &run, std::ostream &os)
         const std::vector<const SimResult *> col = column(run, c);
         PrefetchBreakdown nl, cghc;
         for (const SimResult *r : col) {
-            accumulate(nl, r->nl);
-            accumulate(cghc, r->cghc);
+            nl += r->nl;
+            cghc += r->cghc;
         }
         addPair("TOTAL", c, col.empty() ? nullptr : &nl,
                 col.empty() ? nullptr : &cghc);
@@ -638,8 +629,8 @@ benchJson(const CampaignRun &run)
         d.set("icache_miss_rate",
               ratio(r.icacheMisses, r.icacheAccesses));
         d.set("dcache_miss_rate",
-              ratio(r.dcacheMisses, r.instrs));
-        d.set("l2_miss_rate", ratio(r.l2Misses, r.instrs));
+              ratio(r.dcacheMisses, r.dcacheAccesses));
+        d.set("l2_misses_per_instr", ratio(r.l2Misses, r.instrs));
         const PrefetchBreakdown total = r.totalPrefetch();
         d.set("prefetch_useful_fraction", total.usefulFraction());
         e.set("derived", std::move(d));

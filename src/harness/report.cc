@@ -1,160 +1,14 @@
 #include "harness/report.hh"
 
+#include <string>
+#include <type_traits>
+
+#include "util/fields.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
 
 namespace cgp
 {
-
-void
-writeReport(const SimResult &result, std::ostream &os)
-{
-    TablePrinter t(result.workload + " / " + result.config);
-    t.setHeader({"metric", "value"});
-    t.addRow({"cycles", TablePrinter::num(result.cycles)});
-    t.addRow({"instructions", TablePrinter::num(result.instrs)});
-    t.addRow({"IPC", TablePrinter::fixed(result.ipc(), 3)});
-    t.addRule();
-    t.addRow({"I-cache accesses",
-              TablePrinter::num(result.icacheAccesses)});
-    t.addRow({"I-cache misses",
-              TablePrinter::num(result.icacheMisses)});
-    if (result.icacheAccesses > 0) {
-        t.addRow({"I-cache miss ratio",
-                  TablePrinter::percent(
-                      static_cast<double>(result.icacheMisses) /
-                          static_cast<double>(result.icacheAccesses),
-                      2)});
-    }
-    t.addRow({"D-cache accesses",
-              TablePrinter::num(result.dcacheAccesses)});
-    t.addRow({"D-cache misses",
-              TablePrinter::num(result.dcacheMisses)});
-    if (result.dcacheAccesses > 0) {
-        t.addRow({"D-cache miss ratio",
-                  TablePrinter::percent(
-                      static_cast<double>(result.dcacheMisses) /
-                          static_cast<double>(result.dcacheAccesses),
-                      2)});
-    }
-    t.addRow({"L2 misses", TablePrinter::num(result.l2Misses)});
-    t.addRow({"bus lines (L1<->L2)",
-              TablePrinter::num(result.busLines)});
-    t.addRow({"branch mispredicts",
-              TablePrinter::num(result.branchMispredicts)});
-    t.addRow({"instructions / call",
-              TablePrinter::fixed(result.instrsPerCall, 1)});
-
-    const auto total = result.totalPrefetch();
-    if (total.issued > 0) {
-        t.addRule();
-        t.addRow({"prefetches issued",
-                  TablePrinter::num(total.issued)});
-        t.addRow({"  pref hits", TablePrinter::num(total.prefHits)});
-        t.addRow({"  delayed hits",
-                  TablePrinter::num(total.delayedHits)});
-        t.addRow({"  useless", TablePrinter::num(total.useless)});
-        t.addRow({"  useful fraction",
-                  TablePrinter::percent(total.usefulFraction())});
-        t.addRow({"  squashed",
-                  TablePrinter::num(result.squashedPrefetches)});
-        if (result.cghc.issued > 0) {
-            t.addRow({"  CGHC-issued",
-                      TablePrinter::num(result.cghc.issued)});
-            t.addRow({"  CGHC useful fraction",
-                      TablePrinter::percent(
-                          result.cghc.usefulFraction())});
-        }
-    }
-    if (result.dpf.issued > 0) {
-        t.addRule();
-        t.addRow({"D-prefetches issued",
-                  TablePrinter::num(result.dpf.issued)});
-        t.addRow({"  pref hits",
-                  TablePrinter::num(result.dpf.prefHits)});
-        t.addRow({"  delayed hits",
-                  TablePrinter::num(result.dpf.delayedHits)});
-        t.addRow({"  useless", TablePrinter::num(result.dpf.useless)});
-        t.addRow({"  useful fraction",
-                  TablePrinter::percent(result.dpf.usefulFraction())});
-        t.addRow({"  squashed",
-                  TablePrinter::num(result.dSquashedPrefetches)});
-    }
-    if (result.arbNl.any() || result.arbCghc.any() ||
-        result.arbDpf.any()) {
-        t.addRule();
-        const auto arb_rows = [&t](const char *name,
-                                   const ArbiterBreakdown &b) {
-            if (!b.any())
-                return;
-            t.addRow({std::string("arbiter[") + name + "] issued",
-                      TablePrinter::num(b.issued)});
-            t.addRow({"  deferred", TablePrinter::num(b.deferred)});
-            t.addRow({"  dropped", TablePrinter::num(b.dropped)});
-            t.addRow({"  duplicate-merged",
-                      TablePrinter::num(b.duplicateMerged)});
-        };
-        arb_rows("NL", result.arbNl);
-        arb_rows("CGHC", result.arbCghc);
-        arb_rows("D", result.arbDpf);
-    }
-    if (result.cghcAccesses > 0) {
-        t.addRow({"CGHC accesses",
-                  TablePrinter::num(result.cghcAccesses)});
-        t.addRow({"CGHC hit rate",
-                  TablePrinter::percent(
-                      static_cast<double>(result.cghcHits) /
-                          static_cast<double>(result.cghcAccesses))});
-    }
-    if (result.serverEnabled) {
-        const auto &srv = result.server;
-        t.addRule();
-        t.addRow({"server cores", TablePrinter::num(srv.cores)});
-        t.addRow({"sessions", TablePrinter::num(srv.sessions)});
-        t.addRow({"queries served",
-                  TablePrinter::num(srv.queriesServed)});
-        t.addRow({"queries / Mcycle",
-                  TablePrinter::fixed(srv.queriesPerMcycle(), 2)});
-        t.addRow({"latency p50", TablePrinter::num(srv.latencyP50)});
-        t.addRow({"latency p95", TablePrinter::num(srv.latencyP95)});
-        t.addRow({"latency p99", TablePrinter::num(srv.latencyP99)});
-        t.addRow({"L2-port wait cycles",
-                  TablePrinter::num(srv.portWaitCycles)});
-        for (std::size_t i = 0; i < srv.perCore.size(); ++i) {
-            t.addRow({"  core " + std::to_string(i) + " util",
-                      TablePrinter::percent(
-                          srv.perCore[i].utilization())});
-        }
-    }
-    if (result.sampledEnabled) {
-        const auto &smp = result.sampled;
-        t.addRule();
-        t.addRow({"sampled windows", TablePrinter::num(smp.windows)});
-        t.addRow({"detailed cycles",
-                  TablePrinter::num(smp.detailedCycles)});
-        t.addRow({"warmed instrs",
-                  TablePrinter::num(smp.warmedInstrs)});
-        if (smp.detailedCycles > 0) {
-            t.addRow({"cycle-loop speedup",
-                      TablePrinter::fixed(
-                          static_cast<double>(result.cycles) /
-                              static_cast<double>(smp.detailedCycles),
-                          1) + "x"});
-        }
-        const auto est_row = [&t](const char *name,
-                                  const sample::SampledEstimate &e) {
-            t.addRow({name,
-                      TablePrinter::fixed(e.mean, 4) + " [" +
-                          TablePrinter::fixed(e.ciLow, 4) + ", " +
-                          TablePrinter::fixed(e.ciHigh, 4) + "]"});
-        };
-        est_row("CPI est [95% CI]", smp.cpi);
-        est_row("L1-I miss rate est", smp.l1iMissRate);
-        est_row("L1-D miss rate est", smp.l1dMissRate);
-        est_row("fetch stall/instr est", smp.fetchStallPerInstr);
-    }
-    t.print(os);
-}
 
 void
 writeComparison(const std::vector<SimResult> &results,
@@ -182,262 +36,80 @@ writeComparison(const std::vector<SimResult> &results,
     t.print(os);
 }
 
-Json
-toJson(const PrefetchBreakdown &breakdown)
-{
-    Json j = Json::object();
-    j.set("issued", breakdown.issued);
-    j.set("pref_hits", breakdown.prefHits);
-    j.set("delayed_hits", breakdown.delayedHits);
-    j.set("useless", breakdown.useless);
-    return j;
-}
-
 namespace
 {
 
+/// @{ One generic walk each way over the field lists: scalars map to
+/// JSON scalars, structs to objects in field-list order, vectors to
+/// arrays.  A flagged block is written only when its flag is set, and
+/// read back as set exactly when its key is present.
 Json
-arbToJson(const ArbiterBreakdown &breakdown)
+toJsonValue(const auto &value)
 {
-    Json j = Json::object();
-    j.set("issued", breakdown.issued);
-    j.set("deferred", breakdown.deferred);
-    j.set("dropped", breakdown.dropped);
-    j.set("duplicate_merged", breakdown.duplicateMerged);
-    return j;
-}
-
-// Absent in artifacts written before the arbiter existed; default to
-// all-zero so old run directories keep parsing.
-ArbiterBreakdown
-arbFromJson(const Json &parent, std::string_view key)
-{
-    ArbiterBreakdown b;
-    const Json *j = parent.find(key);
-    if (j == nullptr)
-        return b;
-    b.issued = j->at("issued").asUint();
-    b.deferred = j->at("deferred").asUint();
-    b.dropped = j->at("dropped").asUint();
-    b.duplicateMerged = j->at("duplicate_merged").asUint();
-    return b;
-}
-
-Json
-serverToJson(const server::ServerStats &stats)
-{
-    Json j = Json::object();
-    j.set("cores", stats.cores);
-    j.set("sessions", stats.sessions);
-    j.set("cycles", stats.cycles);
-    j.set("queries_served", stats.queriesServed);
-    j.set("binds", stats.binds);
-    j.set("latency_p50", stats.latencyP50);
-    j.set("latency_p95", stats.latencyP95);
-    j.set("latency_p99", stats.latencyP99);
-    j.set("port_wait_cycles", stats.portWaitCycles);
-    Json per_core = Json::array();
-    for (const auto &c : stats.perCore) {
-        Json cj = Json::object();
-        cj.set("cycles", c.cycles);
-        cj.set("instrs", c.instrs);
-        cj.set("idle_cycles", c.idleCycles);
-        cj.set("icache_accesses", c.icacheAccesses);
-        cj.set("icache_misses", c.icacheMisses);
-        cj.set("dcache_accesses", c.dcacheAccesses);
-        cj.set("dcache_misses", c.dcacheMisses);
-        cj.set("bus_lines", c.busLines);
-        cj.set("port_wait_cycles", c.portWaitCycles);
-        cj.set("queries", c.queries);
-        cj.set("binds", c.binds);
-        per_core.push(std::move(cj));
+    using T = std::remove_cvref_t<decltype(value)>;
+    if constexpr (HasFields<T>) {
+        Json j = Json::object();
+        forEachField(value, [&j](const char *key, const auto &member,
+                                 const auto &...present) {
+            if ((present && ...))
+                j.set(key, toJsonValue(member));
+        });
+        return j;
+    } else if constexpr (requires { value.begin(); } &&
+                         !std::is_same_v<T, std::string>) {
+        Json j = Json::array();
+        for (const auto &item : value)
+            j.push(toJsonValue(item));
+        return j;
+    } else {
+        return Json(value);
     }
-    j.set("per_core", std::move(per_core));
-    return j;
 }
 
-Json
-estimateToJson(const sample::SampledEstimate &est)
+void
+fromJsonValue(const Json &j, auto &value)
 {
-    Json j = Json::object();
-    j.set("samples", est.samples);
-    j.set("mean", est.mean);
-    j.set("sem", est.sem);
-    j.set("ci_low", est.ciLow);
-    j.set("ci_high", est.ciHigh);
-    return j;
-}
-
-sample::SampledEstimate
-estimateFromJson(const Json &j)
-{
-    sample::SampledEstimate est;
-    est.samples = j.at("samples").asUint();
-    est.mean = j.at("mean").asDouble();
-    est.sem = j.at("sem").asDouble();
-    est.ciLow = j.at("ci_low").asDouble();
-    est.ciHigh = j.at("ci_high").asDouble();
-    return est;
-}
-
-Json
-sampledToJson(const sample::SampledStats &stats)
-{
-    Json j = Json::object();
-    j.set("windows", stats.windows);
-    j.set("detailed_cycles", stats.detailedCycles);
-    j.set("detailed_instrs", stats.detailedInstrs);
-    j.set("warmed_instrs", stats.warmedInstrs);
-    j.set("skipped_cycles", stats.skippedCycles);
-    j.set("checkpoint_used", stats.checkpointUsed);
-    j.set("checkpoint_saved", stats.checkpointSaved);
-    j.set("cpi", estimateToJson(stats.cpi));
-    j.set("l1i_miss_rate", estimateToJson(stats.l1iMissRate));
-    j.set("l1d_miss_rate", estimateToJson(stats.l1dMissRate));
-    j.set("fetch_stall_per_instr",
-          estimateToJson(stats.fetchStallPerInstr));
-    return j;
-}
-
-sample::SampledStats
-sampledFromJson(const Json &j)
-{
-    sample::SampledStats s;
-    s.windows = j.at("windows").asUint();
-    s.detailedCycles = j.at("detailed_cycles").asUint();
-    s.detailedInstrs = j.at("detailed_instrs").asUint();
-    s.warmedInstrs = j.at("warmed_instrs").asUint();
-    s.skippedCycles = j.at("skipped_cycles").asUint();
-    s.checkpointUsed = j.at("checkpoint_used").asBool();
-    s.checkpointSaved = j.at("checkpoint_saved").asBool();
-    s.cpi = estimateFromJson(j.at("cpi"));
-    s.l1iMissRate = estimateFromJson(j.at("l1i_miss_rate"));
-    s.l1dMissRate = estimateFromJson(j.at("l1d_miss_rate"));
-    s.fetchStallPerInstr =
-        estimateFromJson(j.at("fetch_stall_per_instr"));
-    return s;
-}
-
-server::ServerStats
-serverFromJson(const Json &j)
-{
-    server::ServerStats s;
-    s.cores = j.at("cores").asUint();
-    s.sessions = j.at("sessions").asUint();
-    s.cycles = j.at("cycles").asUint();
-    s.queriesServed = j.at("queries_served").asUint();
-    s.binds = j.at("binds").asUint();
-    s.latencyP50 = j.at("latency_p50").asUint();
-    s.latencyP95 = j.at("latency_p95").asUint();
-    s.latencyP99 = j.at("latency_p99").asUint();
-    s.portWaitCycles = j.at("port_wait_cycles").asUint();
-    for (const Json &cj : j.at("per_core").items()) {
-        server::ServerCoreStats c;
-        c.cycles = cj.at("cycles").asUint();
-        c.instrs = cj.at("instrs").asUint();
-        c.idleCycles = cj.at("idle_cycles").asUint();
-        c.icacheAccesses = cj.at("icache_accesses").asUint();
-        c.icacheMisses = cj.at("icache_misses").asUint();
-        c.dcacheAccesses = cj.at("dcache_accesses").asUint();
-        c.dcacheMisses = cj.at("dcache_misses").asUint();
-        c.busLines = cj.at("bus_lines").asUint();
-        c.portWaitCycles = cj.at("port_wait_cycles").asUint();
-        c.queries = cj.at("queries").asUint();
-        c.binds = cj.at("binds").asUint();
-        s.perCore.push_back(c);
+    using T = std::remove_cvref_t<decltype(value)>;
+    if constexpr (HasFields<T>) {
+        forEachField(value, [&j](const char *key, auto &member,
+                                 auto &...present) {
+            if constexpr (sizeof...(present) == 0) {
+                fromJsonValue(j.at(key), member);
+            } else {
+                const Json *block = j.find(key);
+                ((present = block != nullptr), ...);
+                if (block != nullptr)
+                    fromJsonValue(*block, member);
+            }
+        });
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        value = j.asString();
+    } else if constexpr (std::is_same_v<T, bool>) {
+        value = j.asBool();
+    } else if constexpr (std::is_same_v<T, double>) {
+        value = j.asDouble();
+    } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+        value = j.asUint();
+    } else {
+        for (const Json &item : j.items())
+            fromJsonValue(item, value.emplace_back());
     }
-    return s;
 }
+/// @}
 
 } // namespace
 
 Json
 toJson(const SimResult &result)
 {
-    Json j = Json::object();
-    j.set("workload", result.workload);
-    j.set("config", result.config);
-    j.set("cycles", result.cycles);
-    j.set("instrs", result.instrs);
-    j.set("icache_accesses", result.icacheAccesses);
-    j.set("icache_misses", result.icacheMisses);
-    j.set("dcache_accesses", result.dcacheAccesses);
-    j.set("dcache_misses", result.dcacheMisses);
-    j.set("l2_misses", result.l2Misses);
-    j.set("nl", toJson(result.nl));
-    j.set("cghc", toJson(result.cghc));
-    j.set("dpf", toJson(result.dpf));
-    j.set("squashed_prefetches", result.squashedPrefetches);
-    j.set("d_squashed_prefetches", result.dSquashedPrefetches);
-    j.set("arb_nl", arbToJson(result.arbNl));
-    j.set("arb_cghc", arbToJson(result.arbCghc));
-    j.set("arb_dpf", arbToJson(result.arbDpf));
-    j.set("bus_lines", result.busLines);
-    j.set("branch_mispredicts", result.branchMispredicts);
-    j.set("cghc_accesses", result.cghcAccesses);
-    j.set("cghc_hits", result.cghcHits);
-    j.set("prefetch_degraded", result.prefetchDegraded);
-    j.set("degraded_reason", result.degradedReason);
-    j.set("instrs_per_call", result.instrsPerCall);
-    // Emitted only for server-model runs so legacy artifacts (and
-    // their goldens) stay byte-identical.
-    if (result.serverEnabled)
-        j.set("server", serverToJson(result.server));
-    // Same backward-compatibility contract for sampled runs.
-    if (result.sampledEnabled)
-        j.set("sampled", sampledToJson(result.sampled));
-    return j;
-}
-
-PrefetchBreakdown
-prefetchBreakdownFromJson(const Json &json)
-{
-    PrefetchBreakdown p;
-    p.issued = json.at("issued").asUint();
-    p.prefHits = json.at("pref_hits").asUint();
-    p.delayedHits = json.at("delayed_hits").asUint();
-    p.useless = json.at("useless").asUint();
-    return p;
+    return toJsonValue(result);
 }
 
 SimResult
 simResultFromJson(const Json &json)
 {
     SimResult r;
-    r.workload = json.at("workload").asString();
-    r.config = json.at("config").asString();
-    r.cycles = json.at("cycles").asUint();
-    r.instrs = json.at("instrs").asUint();
-    r.icacheAccesses = json.at("icache_accesses").asUint();
-    r.icacheMisses = json.at("icache_misses").asUint();
-    r.dcacheAccesses = json.at("dcache_accesses").asUint();
-    r.dcacheMisses = json.at("dcache_misses").asUint();
-    r.l2Misses = json.at("l2_misses").asUint();
-    r.nl = prefetchBreakdownFromJson(json.at("nl"));
-    r.cghc = prefetchBreakdownFromJson(json.at("cghc"));
-    r.dpf = prefetchBreakdownFromJson(json.at("dpf"));
-    r.squashedPrefetches = json.at("squashed_prefetches").asUint();
-    r.dSquashedPrefetches =
-        json.at("d_squashed_prefetches").asUint();
-    r.arbNl = arbFromJson(json, "arb_nl");
-    r.arbCghc = arbFromJson(json, "arb_cghc");
-    r.arbDpf = arbFromJson(json, "arb_dpf");
-    r.busLines = json.at("bus_lines").asUint();
-    r.branchMispredicts = json.at("branch_mispredicts").asUint();
-    r.cghcAccesses = json.at("cghc_accesses").asUint();
-    r.cghcHits = json.at("cghc_hits").asUint();
-    r.prefetchDegraded = json.at("prefetch_degraded").asBool();
-    r.degradedReason = json.at("degraded_reason").asString();
-    r.instrsPerCall = json.at("instrs_per_call").asDouble();
-    // Absent in pre-server artifacts and in legacy runs.
-    if (const Json *srv = json.find("server")) {
-        r.serverEnabled = true;
-        r.server = serverFromJson(*srv);
-    }
-    if (const Json *smp = json.find("sampled")) {
-        r.sampledEnabled = true;
-        r.sampled = sampledFromJson(*smp);
-    }
+    fromJsonValue(json, r);
     return r;
 }
 

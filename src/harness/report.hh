@@ -1,10 +1,10 @@
 /**
  * @file
- * Reporting of simulation results: a one-screen human-readable
- * summary of a SimResult, side-by-side comparisons of several
- * results over the same workload (exposed for downstream users),
- * and the canonical machine-readable JSON form shared by the
+ * Reporting of simulation results: side-by-side comparisons of
+ * several results over the same workload (exposed for downstream
+ * users), and the canonical machine-readable JSON form shared by the
  * experiment engine's run directories and BENCH_*.json artifacts.
+ * The JSON form is derived from the result structs' field lists.
  */
 
 #ifndef CGP_HARNESS_REPORT_HH
@@ -19,9 +19,6 @@
 namespace cgp
 {
 
-/** Write a detailed single-run report. */
-void writeReport(const SimResult &result, std::ostream &os);
-
 /**
  * Write a comparison table of several runs of the same workload
  * (cycles, IPC, misses, prefetch usefulness), normalized to the
@@ -32,10 +29,9 @@ void writeComparison(const std::vector<SimResult> &results,
 
 /// @{ Canonical JSON form of a result.  The mapping is lossless:
 /// simResultFromJson(toJson(r)) == r, and the emitted member order
-/// is fixed so equal results serialize to identical bytes.
-Json toJson(const PrefetchBreakdown &breakdown);
+/// is the field-list order, so equal results serialize to identical
+/// bytes.  Reading throws std::runtime_error on a missing key.
 Json toJson(const SimResult &result);
-PrefetchBreakdown prefetchBreakdownFromJson(const Json &json);
 SimResult simResultFromJson(const Json &json);
 /// @}
 

@@ -122,6 +122,16 @@ buildEngines(MemoryHierarchy &mem, const SimConfig &config,
     return set;
 }
 
+/** One prefetch source's classification counters in @p cache. */
+PrefetchBreakdown
+classified(const Cache &cache, AccessSource src)
+{
+    return {.issued = cache.prefetchesIssued(src),
+            .prefHits = cache.prefHits(src),
+            .delayedHits = cache.delayedHits(src),
+            .useless = cache.useless(src)};
+}
+
 /** Add one core's L1 counters into the (aggregate) result. */
 void
 accumulateCacheCounters(SimResult &r, const Cache &l1i,
@@ -131,21 +141,9 @@ accumulateCacheCounters(SimResult &r, const Cache &l1i,
     r.icacheMisses += l1i.demandMisses();
     r.dcacheAccesses += l1d.demandAccesses();
     r.dcacheMisses += l1d.demandMisses();
-
-    r.nl.issued += l1i.prefetchesIssued(AccessSource::PrefetchNL);
-    r.nl.prefHits += l1i.prefHits(AccessSource::PrefetchNL);
-    r.nl.delayedHits += l1i.delayedHits(AccessSource::PrefetchNL);
-    r.nl.useless += l1i.useless(AccessSource::PrefetchNL);
-    r.cghc.issued += l1i.prefetchesIssued(AccessSource::PrefetchCGHC);
-    r.cghc.prefHits += l1i.prefHits(AccessSource::PrefetchCGHC);
-    r.cghc.delayedHits +=
-        l1i.delayedHits(AccessSource::PrefetchCGHC);
-    r.cghc.useless += l1i.useless(AccessSource::PrefetchCGHC);
-    r.dpf.issued +=
-        l1d.prefetchesIssued(AccessSource::DataPrefetch);
-    r.dpf.prefHits += l1d.prefHits(AccessSource::DataPrefetch);
-    r.dpf.delayedHits += l1d.delayedHits(AccessSource::DataPrefetch);
-    r.dpf.useless += l1d.useless(AccessSource::DataPrefetch);
+    r.nl += classified(l1i, AccessSource::PrefetchNL);
+    r.cghc += classified(l1i, AccessSource::PrefetchCGHC);
+    r.dpf += classified(l1d, AccessSource::DataPrefetch);
     r.squashedPrefetches += l1i.squashedPrefetches();
     r.dSquashedPrefetches += l1d.squashedPrefetches();
 }
@@ -195,15 +193,16 @@ accumulateArbiterCounters(SimResult &r, const PrefetchArbiter *arb)
 {
     if (arb == nullptr)
         return;
-    const auto grab = [arb](ArbiterBreakdown &b, AccessSource src) {
-        b.issued += arb->issued(src);
-        b.deferred += arb->deferred(src);
-        b.dropped += arb->dropped(src);
-        b.duplicateMerged += arb->duplicateMerged(src);
+    const auto counts = [arb](AccessSource src) {
+        return ArbiterBreakdown{
+            .issued = arb->issued(src),
+            .deferred = arb->deferred(src),
+            .dropped = arb->dropped(src),
+            .duplicateMerged = arb->duplicateMerged(src)};
     };
-    grab(r.arbNl, AccessSource::PrefetchNL);
-    grab(r.arbCghc, AccessSource::PrefetchCGHC);
-    grab(r.arbDpf, AccessSource::DataPrefetch);
+    r.arbNl += counts(AccessSource::PrefetchNL);
+    r.arbCghc += counts(AccessSource::PrefetchCGHC);
+    r.arbDpf += counts(AccessSource::DataPrefetch);
 }
 
 /** Fold one core's engine health into the degraded flag/reason. */
@@ -288,13 +287,17 @@ runSimulation(const Workload &workload, const SimConfig &config)
     server::DbServer srv(server_cfg, std::move(wiring));
 
     // 3. Run.  A single-stream run's warm prefix may come from (and
-    // go to) the checkpoint store, keyed by workload and label.
+    // go to) the checkpoint store, keyed by workload and label.  The
+    // label leaves out the CGHC geometry, which the warmed state
+    // depends on, so CGP configurations add it to the key.
     sample::CheckpointTarget checkpoint;
     if (!config.server.enabled) {
         checkpoint.parts =
             makeCheckpointParts(srv.memAt(0), srv.coreAt(0), engines[0]);
         checkpoint.workload = workload.name;
         checkpoint.configLabel = config.describe();
+        if (config.prefetch == PrefetchKind::Cgp)
+            checkpoint.configLabel += "+" + config.cghc.describe();
     }
     srv.run(checkpoint);
 

@@ -15,6 +15,7 @@
 #include "harness/workload.hh"
 #include "sample/estimator.hh"
 #include "server/stats.hh"
+#include "util/fields.hh"
 
 namespace cgp
 {
@@ -38,11 +39,23 @@ struct PrefetchBreakdown
                 / static_cast<double>(classified);
     }
 
-    friend bool
-    operator==(const PrefetchBreakdown &a, const PrefetchBreakdown &b)
+    PrefetchBreakdown &
+    operator+=(const PrefetchBreakdown &other)
     {
-        return a.issued == b.issued && a.prefHits == b.prefHits &&
-            a.delayedHits == b.delayedHits && a.useless == b.useless;
+        addFields(*this, other);
+        return *this;
+    }
+
+    bool operator==(const PrefetchBreakdown &) const = default;
+
+    template <class Self, class F>
+    static constexpr void
+    fields(Self &self, F &&f)
+    {
+        f("issued", self.issued);
+        f("pref_hits", self.prefHits);
+        f("delayed_hits", self.delayedHits);
+        f("useless", self.useless);
     }
 };
 
@@ -62,12 +75,23 @@ struct ArbiterBreakdown
         return issued + deferred + dropped + duplicateMerged != 0;
     }
 
-    friend bool
-    operator==(const ArbiterBreakdown &a, const ArbiterBreakdown &b)
+    ArbiterBreakdown &
+    operator+=(const ArbiterBreakdown &other)
     {
-        return a.issued == b.issued && a.deferred == b.deferred &&
-            a.dropped == b.dropped &&
-            a.duplicateMerged == b.duplicateMerged;
+        addFields(*this, other);
+        return *this;
+    }
+
+    bool operator==(const ArbiterBreakdown &) const = default;
+
+    template <class Self, class F>
+    static constexpr void
+    fields(Self &self, F &&f)
+    {
+        f("issued", self.issued);
+        f("deferred", self.deferred);
+        f("dropped", self.dropped);
+        f("duplicate_merged", self.duplicateMerged);
     }
 };
 
@@ -138,44 +162,49 @@ struct SimResult
                                / static_cast<double>(cycles);
     }
 
+    /** I-side prefetches of both sources. */
     PrefetchBreakdown
     totalPrefetch() const
     {
-        PrefetchBreakdown t;
-        t.issued = nl.issued + cghc.issued;
-        t.prefHits = nl.prefHits + cghc.prefHits;
-        t.delayedHits = nl.delayedHits + cghc.delayedHits;
-        t.useless = nl.useless + cghc.useless;
+        PrefetchBreakdown t = nl;
+        t += cghc;
         return t;
     }
 
-    /** Field-wise equality (serialization round-trip checks). */
-    friend bool
-    operator==(const SimResult &a, const SimResult &b)
+    bool operator==(const SimResult &) const = default;
+
+    /** The canonical JSON schema: key, member, and for the optional
+     *  blocks the flag their presence stands for. */
+    template <class Self, class F>
+    static constexpr void
+    fields(Self &self, F &&f)
     {
-        return a.workload == b.workload && a.config == b.config &&
-            a.cycles == b.cycles && a.instrs == b.instrs &&
-            a.icacheAccesses == b.icacheAccesses &&
-            a.icacheMisses == b.icacheMisses &&
-            a.dcacheAccesses == b.dcacheAccesses &&
-            a.dcacheMisses == b.dcacheMisses &&
-            a.l2Misses == b.l2Misses && a.nl == b.nl &&
-            a.cghc == b.cghc && a.dpf == b.dpf &&
-            a.squashedPrefetches == b.squashedPrefetches &&
-            a.dSquashedPrefetches == b.dSquashedPrefetches &&
-            a.arbNl == b.arbNl && a.arbCghc == b.arbCghc &&
-            a.arbDpf == b.arbDpf &&
-            a.busLines == b.busLines &&
-            a.branchMispredicts == b.branchMispredicts &&
-            a.cghcAccesses == b.cghcAccesses &&
-            a.cghcHits == b.cghcHits &&
-            a.prefetchDegraded == b.prefetchDegraded &&
-            a.degradedReason == b.degradedReason &&
-            a.instrsPerCall == b.instrsPerCall &&
-            a.serverEnabled == b.serverEnabled &&
-            a.server == b.server &&
-            a.sampledEnabled == b.sampledEnabled &&
-            a.sampled == b.sampled;
+        f("workload", self.workload);
+        f("config", self.config);
+        f("cycles", self.cycles);
+        f("instrs", self.instrs);
+        f("icache_accesses", self.icacheAccesses);
+        f("icache_misses", self.icacheMisses);
+        f("dcache_accesses", self.dcacheAccesses);
+        f("dcache_misses", self.dcacheMisses);
+        f("l2_misses", self.l2Misses);
+        f("nl", self.nl);
+        f("cghc", self.cghc);
+        f("dpf", self.dpf);
+        f("squashed_prefetches", self.squashedPrefetches);
+        f("d_squashed_prefetches", self.dSquashedPrefetches);
+        f("arb_nl", self.arbNl);
+        f("arb_cghc", self.arbCghc);
+        f("arb_dpf", self.arbDpf);
+        f("bus_lines", self.busLines);
+        f("branch_mispredicts", self.branchMispredicts);
+        f("cghc_accesses", self.cghcAccesses);
+        f("cghc_hits", self.cghcHits);
+        f("prefetch_degraded", self.prefetchDegraded);
+        f("degraded_reason", self.degradedReason);
+        f("instrs_per_call", self.instrsPerCall);
+        f("server", self.server, self.serverEnabled);
+        f("sampled", self.sampled, self.sampledEnabled);
     }
 };
 

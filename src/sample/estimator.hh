@@ -36,12 +36,17 @@ struct SampledEstimate
         return samples > 0 && value >= ciLow && value <= ciHigh;
     }
 
-    friend bool
-    operator==(const SampledEstimate &a, const SampledEstimate &b)
+    bool operator==(const SampledEstimate &) const = default;
+
+    template <class Self, class F>
+    static constexpr void
+    fields(Self &self, F &&f)
     {
-        return a.samples == b.samples && a.mean == b.mean &&
-            a.sem == b.sem && a.ciLow == b.ciLow &&
-            a.ciHigh == b.ciHigh;
+        f("samples", self.samples);
+        f("mean", self.mean);
+        f("sem", self.sem);
+        f("ci_low", self.ciLow);
+        f("ci_high", self.ciHigh);
     }
 };
 
@@ -83,19 +88,23 @@ struct SampledStats
     SampledEstimate l1dMissRate;
     SampledEstimate fetchStallPerInstr;
 
-    friend bool
-    operator==(const SampledStats &a, const SampledStats &b)
+    bool operator==(const SampledStats &) const = default;
+
+    template <class Self, class F>
+    static constexpr void
+    fields(Self &self, F &&f)
     {
-        return a.windows == b.windows &&
-            a.detailedCycles == b.detailedCycles &&
-            a.detailedInstrs == b.detailedInstrs &&
-            a.warmedInstrs == b.warmedInstrs &&
-            a.skippedCycles == b.skippedCycles &&
-            a.checkpointUsed == b.checkpointUsed &&
-            a.checkpointSaved == b.checkpointSaved &&
-            a.cpi == b.cpi && a.l1iMissRate == b.l1iMissRate &&
-            a.l1dMissRate == b.l1dMissRate &&
-            a.fetchStallPerInstr == b.fetchStallPerInstr;
+        f("windows", self.windows);
+        f("detailed_cycles", self.detailedCycles);
+        f("detailed_instrs", self.detailedInstrs);
+        f("warmed_instrs", self.warmedInstrs);
+        f("skipped_cycles", self.skippedCycles);
+        f("checkpoint_used", self.checkpointUsed);
+        f("checkpoint_saved", self.checkpointSaved);
+        f("cpi", self.cpi);
+        f("l1i_miss_rate", self.l1iMissRate);
+        f("l1d_miss_rate", self.l1dMissRate);
+        f("fetch_stall_per_instr", self.fetchStallPerInstr);
     }
 };
 

@@ -44,6 +44,23 @@ struct ServerCoreStats
     }
 
     bool operator==(const ServerCoreStats &) const = default;
+
+    template <class Self, class F>
+    static constexpr void
+    fields(Self &self, F &&f)
+    {
+        f("cycles", self.cycles);
+        f("instrs", self.instrs);
+        f("idle_cycles", self.idleCycles);
+        f("icache_accesses", self.icacheAccesses);
+        f("icache_misses", self.icacheMisses);
+        f("dcache_accesses", self.dcacheAccesses);
+        f("dcache_misses", self.dcacheMisses);
+        f("bus_lines", self.busLines);
+        f("port_wait_cycles", self.portWaitCycles);
+        f("queries", self.queries);
+        f("binds", self.binds);
+    }
 };
 
 struct ServerStats
@@ -73,6 +90,22 @@ struct ServerStats
     }
 
     bool operator==(const ServerStats &) const = default;
+
+    template <class Self, class F>
+    static constexpr void
+    fields(Self &self, F &&f)
+    {
+        f("cores", self.cores);
+        f("sessions", self.sessions);
+        f("cycles", self.cycles);
+        f("queries_served", self.queriesServed);
+        f("binds", self.binds);
+        f("latency_p50", self.latencyP50);
+        f("latency_p95", self.latencyP95);
+        f("latency_p99", self.latencyP99);
+        f("port_wait_cycles", self.portWaitCycles);
+        f("per_core", self.perCore);
+    }
 };
 
 /**

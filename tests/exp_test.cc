@@ -985,6 +985,29 @@ TEST(CampaignRun, FailedAndPendingJobsHaveNoResult)
     EXPECT_EQ(back.find("w1", "O5+OM"), &back.results[1]);
 }
 
+TEST(CampaignRun, BenchDerivedRatesUseTheirOwnDenominators)
+{
+    CampaignSpec s;
+    s.name = "t";
+    s.title = "rates";
+    s.workloads = {"w1"};
+    s.explicitConfigs = {SimConfig::o5()};
+    const CampaignRun run = syntheticRun(s);
+    const SimResult &r = run.results[0];
+    const auto per = [](std::uint64_t num, std::uint64_t den) {
+        return static_cast<double>(num) / static_cast<double>(den);
+    };
+    const Json d = benchJson(run).at("jobs")[0].at("derived");
+    EXPECT_DOUBLE_EQ(d.at("icache_miss_rate").asDouble(),
+                     per(r.icacheMisses, r.icacheAccesses));
+    EXPECT_DOUBLE_EQ(d.at("dcache_miss_rate").asDouble(),
+                     per(r.dcacheMisses, r.dcacheAccesses));
+    // No L2 access count is kept, so L2 misses are per instruction.
+    EXPECT_DOUBLE_EQ(d.at("l2_misses_per_instr").asDouble(),
+                     per(r.l2Misses, r.instrs));
+    EXPECT_FALSE(d.contains("l2_miss_rate"));
+}
+
 TEST(CampaignReport, EveryRegisteredCampaignRenders)
 {
     for (const std::string &name : campaignNames()) {

@@ -1,15 +1,19 @@
 /**
  * @file
- * Tests for the report writers: both forms render the key numbers
- * and refuse mismatched comparisons.
+ * Tests for the report writers: the comparison table renders the key
+ * numbers and refuses mismatched workloads; the JSON form derived
+ * from the field lists round-trips and requires every key.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "harness/report.hh"
+#include "util/fields.hh"
 #include "util/logging.hh"
 
 namespace cgp
@@ -38,18 +42,6 @@ sample(const char *config, Cycle cycles)
     r.cghcHits = 80;
     r.busLines = 123;
     return r;
-}
-
-TEST(Report, SingleRunContainsKeyMetrics)
-{
-    std::ostringstream os;
-    writeReport(sample("O5+OM+CGP_4", 2000), os);
-    const std::string out = os.str();
-    EXPECT_NE(out.find("O5+OM+CGP_4"), std::string::npos);
-    EXPECT_NE(out.find("2,000"), std::string::npos);
-    EXPECT_NE(out.find("I-cache misses"), std::string::npos);
-    EXPECT_NE(out.find("prefetches issued"), std::string::npos);
-    EXPECT_NE(out.find("CGHC hit rate"), std::string::npos);
 }
 
 TEST(Report, ComparisonNormalizesToFirst)
@@ -96,6 +88,51 @@ TEST(Report, SimResultFromJsonRejectsMissingFields)
     Json stripped = Json::object();
     stripped.set("workload", j.at("workload"));
     EXPECT_THROW(simResultFromJson(stripped), std::runtime_error);
+
+    // Every top-level key is required, except the optional blocks,
+    // whose absence reads as "not enabled".
+    SimResult full = sample("X", 10);
+    full.serverEnabled = full.sampledEnabled = true;
+    const Json all = toJson(full);
+    for (const auto &[key, value] : all.members()) {
+        Json dropped = all;
+        dropped.remove(key);
+        if (key == "server")
+            EXPECT_FALSE(simResultFromJson(dropped).serverEnabled);
+        else if (key == "sampled")
+            EXPECT_FALSE(simResultFromJson(dropped).sampledEnabled);
+        else
+            EXPECT_THROW(simResultFromJson(dropped), std::runtime_error)
+                << key;
+    }
+}
+
+// The field-list guard: memberCount sees every member of an
+// aggregate, so forEachField's static_assert catches a member that
+// its struct's list leaves out.
+struct Partial
+{
+    std::uint64_t a = 0;
+    std::string b;
+    PrefetchBreakdown c;
+    std::vector<server::ServerCoreStats> d;
+
+    template <class Self, class F>
+    static constexpr void
+    fields(Self &self, F &&f)
+    {
+        f("a", self.a);
+        f("c", self.c);
+    }
+};
+
+TEST(Report, FieldListGuardCountsEveryMember)
+{
+    static_assert(memberCount<Partial>() == 4);
+    static_assert(fieldCount<Partial>() == 2);
+    // A flagged block counts its flag: 26 entries, 28 members.
+    static_assert(fieldCount<SimResult>() == 28);
+    static_assert(memberCount<SimResult>() == 28);
 }
 
 TEST(Report, ComparisonRejectsMixedWorkloads)

@@ -415,23 +415,28 @@ TEST(SampleCheckpointRoundTrip, RestoredRunContinuesByteIdentical)
 {
     // Every serialized structure is on in at least one of these:
     // o5 (caches + branch + core), CGP_4 (CGHC), I+D combined
-    // (stride + correlation + semantic + arbiter).
+    // (stride + correlation + semantic + arbiter).  They share one
+    // store, and CGP_4 on the 1K/16K CGHC, whose label equals
+    // CGP_4's, must still keep a checkpoint of its own.
     const std::vector<SimConfig> configs = {
         SimConfig::o5(),
         SimConfig::withCgp(LayoutKind::PettisHansen, 4),
+        SimConfig::withCgpGeometry(LayoutKind::PettisHansen, 4,
+                                   CghcConfig::twoLevel1K16K()),
         SimConfig::withIPlusD(DataPrefetchKind::Combined, true),
     };
     const Workload w = proxyWorkload("ckpt", 60, 60.0, 300'000);
+    MemStore store;
     for (const SimConfig &base : configs) {
         SCOPED_TRACE(base.describe());
-        MemStore store;
+        const std::size_t stored = store.docs.size();
 
         SimConfig first = sampledConfig(base);
         first.sample.checkpoints = store.hooks();
         const SimResult warmed = runSimulation(w, first);
         ASSERT_TRUE(warmed.sampled.checkpointSaved);
         ASSERT_FALSE(warmed.sampled.checkpointUsed);
-        ASSERT_EQ(store.docs.size(), 1u);
+        ASSERT_EQ(store.docs.size(), stored + 1);
 
         SimConfig second = sampledConfig(base);
         second.sample.checkpoints = store.hooks();
@@ -474,29 +479,43 @@ TEST(SampleCheckpointRoundTrip, MismatchedIdentityTriggersRewarm)
 
 TEST(SampleCheckpointRoundTrip, RejectedCheckpointLeavesNoTrace)
 {
-    // The CGHC geometry is not part of the configuration label, so
-    // the smaller-CGHC point shares CGP_4's checkpoint key and the
-    // store hands it CGP_4's checkpoint.  Its CGHC section does not
-    // fit; restore must reject the whole checkpoint before touching
-    // any structure, so the run equals a store-less one.
+    // The smaller-CGHC point is handed CGP_4's checkpoint whatever
+    // key it asks for: once as saved (its identity does not match)
+    // and once under the smaller point's own identity (only its CGHC
+    // section does not fit).  Restore must reject the whole
+    // checkpoint before touching any structure, so the run equals a
+    // store-less one.
     const Workload w = proxyWorkload("ckpt-geom", 60, 60.0, 300'000);
-    MemStore store;
+    MemStore donorStore;
     SimConfig donor =
         sampledConfig(SimConfig::withCgp(LayoutKind::PettisHansen, 4));
-    donor.sample.checkpoints = store.hooks();
+    donor.sample.checkpoints = donorStore.hooks();
     runSimulation(w, donor);
-    ASSERT_EQ(store.docs.size(), 1u);
+    ASSERT_EQ(donorStore.docs.size(), 1u);
 
     const SimConfig small = sampledConfig(SimConfig::withCgpGeometry(
         LayoutKind::PettisHansen, 4, CghcConfig::twoLevel1K16K()));
-    ASSERT_EQ(small.describe(), donor.describe());
     const SimResult plain = runSimulation(w, small);
 
-    SimConfig fromStore = small;
-    fromStore.sample.checkpoints = store.hooks();
-    const SimResult rejected = runSimulation(w, fromStore);
-    EXPECT_FALSE(rejected.sampled.checkpointUsed);
-    EXPECT_EQ(dumpNormalized(plain), dumpNormalized(rejected));
+    MemStore own;
+    SimConfig saving = small;
+    saving.sample.checkpoints = own.hooks();
+    runSimulation(w, saving);
+    ASSERT_EQ(own.docs.size(), 1u);
+
+    const Json &donorDoc = donorStore.docs.begin()->second;
+    Json disguised = donorDoc;
+    disguised.set("meta", own.docs.begin()->second.at("meta"));
+    for (const Json &handed : {donorDoc, disguised}) {
+        SimConfig fromStore = small;
+        fromStore.sample.checkpoints.load =
+            [&handed](const std::string &) -> std::optional<Json> {
+            return handed;
+        };
+        const SimResult rejected = runSimulation(w, fromStore);
+        EXPECT_FALSE(rejected.sampled.checkpointUsed);
+        EXPECT_EQ(dumpNormalized(plain), dumpNormalized(rejected));
+    }
 }
 
 TEST(SampleCheckpointStore, SealedStoreRoundTripsOnDisk)
